@@ -5,7 +5,7 @@ Core layers:
 - grid: dyadic intervals on [0,1), Haar analysis/synthesis, exact averages
 - weights: A2 weight families, characteristic, disbalanced Haar data
 - operators: paraproducts, multipliers, Haar shifts, weighted resolution
-- norms: matrix-free power-iteration norms plus a dense oracle
+- norms: matrix-free power-iteration norms plus a dense LAPACK oracle
 - estimates: square functions, Carleson embedding, corona, inequality battery
 - cli: verification suite, norm sweeps, reports
 """
@@ -21,6 +21,7 @@ from .grid import (
     averaging_function,
     count_operations,
     delta_sign,
+    gather_left_child,
     haar_function,
     product_formula_coeff,
     subtree_sums,
@@ -48,15 +49,9 @@ from .operators import (
     Paraproduct,
     composed_identity_forms,
     conjugated_shift,
-    haar_shift,
-    mean_cross_operator,
-    multiplier,
     multiplier_pieces,
-    paraproduct,
-    q_operator,
-    q_symbol,
     resolution_pieces,
-    shift_kernel,
+    shift_kernel_table,
 )
 from .norms import (
     ConvergenceError,

@@ -26,14 +26,14 @@ from .estimates import (
     nested_kernel_value,
     s_coefficient,
 )
-from .grid import DyadicIndex, Grid, averages, averaging_function
+from .grid import DyadicIndex, Grid
 from .norms import operator_norm
 from .operators import (
     Q_LABELS,
     SHIFT_KINDS,
     conjugated_shift,
-    haar_shift,
     resolution_pieces,
+    shift_kernel_table,
 )
 from .verify import run_verification
 from .weights import WeightSpec, a2_characteristic, make_weight
@@ -318,14 +318,13 @@ def cmd_corona(args) -> int:
 
 def cmd_kernel(args) -> int:
     grid = Grid(args.depth)
-    shift = haar_shift("half", grid)
+    table = shift_kernel_table(grid, "half")
     print("J(level,pos)  L(level,pos)  kernel  nested_closed_form")
     worst = 0.0
     indices = list(grid.all_indices())
     for j_idx in indices:
-        kernel_tree = averages(shift.apply(averaging_function(grid, j_idx))).tree
         for l_idx in indices:
-            value = kernel_tree[l_idx.flat_offset]
+            value = table[l_idx.flat_offset, j_idx.flat_offset]
             if j_idx.strictly_contains(l_idx):
                 closed = nested_kernel_value(grid, j_idx, l_idx)
                 worst = max(worst, abs(value - closed))
@@ -358,6 +357,15 @@ def _depth_arg(lo: int, hi: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """A CSV target in an existing writable directory, checked before any
+    norm is computed."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text) or not os.access(directory, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haarshift",
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("sweep", help="norms across a weight family")
@@ -388,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size; 0 forces serial execution")
     p.add_argument("--depth-stability", action="store_true",

@@ -18,12 +18,13 @@ from .grid import (
     HaarSymbol,
     LeafFunction,
     delta_sign,
+    gather_left_child,
     subtree_sums,
     sum_interval_constants,
     synthesize,
 )
-from .norms import ConvergenceError, operator_norm, power_iteration
-from .operators import DyadicOperator, haar_shift
+from .norms import ConvergenceError, power_iteration
+from .operators import shift_kernel_table
 from .weights import Weight
 
 __all__ = [
@@ -38,11 +39,14 @@ __all__ = [
     "nested_kernel_value",
     "CoronaDecomposition",
     "corona",
+    "corona_members",
+    "corona_sum",
     "BatteryRow",
     "InequalityReport",
     "inequality_battery",
     "BATTERY_ROW_LABELS",
     "BATTERY_A2_POWERS",
+    "disjoint_block_matrix",
     "disjoint_block_norm",
 ]
 
@@ -62,12 +66,10 @@ def s_pi(f: LeafFunction) -> LeafFunction:
     """Modified square function: each I spreads fhat(I)^2 / |I| over the
     parent of I, with the root acting as its own parent."""
     grid = f.grid
-    c = f.symbol.coeff
+    sq = f.symbol.coeff**2 * grid.haar_inv_lengths
     consts = np.zeros(grid.haar_size)
-    consts[0] = c[0] ** 2  # root term, pi(root) = root
-    for lev in range(1, grid.depth):
-        sq = c[Grid.level_slice(lev)] ** 2 * 2.0**lev
-        consts[Grid.level_slice(lev - 1)] += sq[0::2] + sq[1::2]
+    consts[0] = sq[0]  # root term, pi(root) = root
+    consts[: grid.haar_size // 2] += sq[1::2] + sq[2::2]
     return LeafFunction(grid, np.sqrt(sum_interval_constants(grid, consts)))
 
 
@@ -78,11 +80,8 @@ def weighted_square_norm_sq(f: LeafFunction, v: LeafFunction) -> float:
 
 def _parent_averages(grid: Grid, avg_haar: np.ndarray) -> np.ndarray:
     """<.>_{pi I} for every Haar-bearing I, with pi(root) = root."""
-    out = np.empty(grid.haar_size)
-    out[0] = avg_haar[0]
-    for lev in range(1, grid.depth):
-        out[Grid.level_slice(lev)] = np.repeat(avg_haar[Grid.level_slice(lev - 1)], 2)
-    return out
+    parents = np.repeat(avg_haar[: grid.haar_size // 2], 2)
+    return np.concatenate((avg_haar[:1], parents))
 
 
 def s_pi_sharp_ratio(
@@ -95,8 +94,6 @@ def s_pi_sharp_ratio(
     with u = w^{-1/2} and P the projection onto the complement of u, the
     constant is the top eigenvalue of  P (M_u D M_u) P.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     grid = w.grid
     parents = _parent_averages(grid, w.w.averages.haar_part)
     u = w.w_inv_half.values
@@ -240,8 +237,8 @@ def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:
     """Top-down stopping-time construction: descend from the root, starting
     a new generation at every maximal interval whose average first exceeds
     gamma times its stopping parent's average."""
-    if gamma <= 1:
-        raise ValueError("corona threshold gamma must exceed 1")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"corona threshold gamma must be finite and > 1, got {gamma}")
     grid = w.grid
     avg = w.w.averages
     generations: list[list[DyadicIndex]] = [[root]]
@@ -357,14 +354,6 @@ def _index_from_offset(offset: int) -> DyadicIndex:
     return DyadicIndex(level, offset - ((1 << level) - 1))
 
 
-def _shift_to_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
-    """q_K -> value at K_left, zero at the finest level (no grandchildren)."""
-    out = np.zeros(grid.haar_size)
-    for lev in range(grid.depth - 1):
-        out[Grid.level_slice(lev)] = haar_values[Grid.level_slice(lev + 1)][0::2]
-    return out
-
-
 def inequality_battery(w: Weight) -> InequalityReport:
     """Empirical constants for the nine weighted Carleson-sum inequalities.
 
@@ -386,7 +375,7 @@ def inequality_battery(w: Weight) -> InequalityReport:
     mass_w = avg_w.tree * lengths  # w(I)
     mass_inv = avg_inv.tree * lengths  # (1/w)(I)
 
-    hat_w_left = _shift_to_left_child(grid, w_hat)
+    hat_w_left = gather_left_child(grid, w_hat)
     cross = np.abs(inv_hat * hat_w_left)
 
     quantities = {
@@ -431,23 +420,6 @@ def inequality_battery(w: Weight) -> InequalityReport:
 # disjoint-support block of the shifted averaging kernel
 
 
-class _HaarMatrixOperator(DyadicOperator):
-    """Operator given by a dense matrix acting on Haar coefficients."""
-
-    label = "disjoint_block"
-    annihilates_constants = True
-
-    def __init__(self, grid: Grid, matrix: np.ndarray):
-        super().__init__(grid)
-        self.matrix = matrix
-
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        return synthesize(HaarSymbol(self.grid, self.matrix @ f.symbol.coeff, 0.0))
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        return synthesize(HaarSymbol(self.grid, self.matrix.T @ f.symbol.coeff, 0.0))
-
-
 def _haar_index_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     levels = np.concatenate(
         [np.full(1 << lev, lev, dtype=np.int64) for lev in range(grid.depth)]
@@ -472,23 +444,7 @@ def disjoint_block_matrix(w: Weight) -> np.ndarray:
     """Matrix A[L, J] = what(L) <S h_J^1, h_L^1> winvhat(J) over disjoint
     Haar pairs (half shift), acting on Haar coefficient vectors."""
     grid = w.grid
-    n_leaves = grid.leaf_count
-    shift = haar_shift("half", grid)
-
-    # kernel(J, L) for all Haar pairs in one batch of tree sweeps
-    avg_atoms = np.zeros((n_leaves, grid.haar_size))
-    lev, pos = _haar_index_arrays(grid)
-    for j in range(grid.haar_size):
-        width = n_leaves >> lev[j]
-        avg_atoms[pos[j] * width : (pos[j] + 1) * width, j] = 2.0 ** lev[j]
-    shifted = np.column_stack(
-        [
-            shift.apply(LeafFunction(grid, avg_atoms[:, j])).values
-            for j in range(grid.haar_size)
-        ]
-    )
-    kernel = (avg_atoms.T @ shifted) / n_leaves  # kernel[L, J] = <S h_J^1, h_L^1>
-
+    kernel = shift_kernel_table(grid, "half")[: grid.haar_size, : grid.haar_size]
     hat_half = w.w_half.symbol.coeff
     hat_inv_half = w.w_inv_half.symbol.coeff
     return np.where(
@@ -496,17 +452,10 @@ def disjoint_block_matrix(w: Weight) -> np.ndarray:
     )
 
 
-def disjoint_block_norm(w: Weight, tol: float = 1e-9) -> float:
-    """Operator norm of the disjoint-support block; dense materialization
-    only (no fast apply exists for this kernel), capped at depth 10."""
+def disjoint_block_norm(w: Weight) -> float:
+    """Operator norm of the disjoint-support block: the top singular value
+    of its matrix (the Haar basis is orthonormal).  Dense only, as no fast
+    apply exists for this kernel; capped at depth 10."""
     if w.grid.depth > 10:
         raise ValueError("disjoint block norm capped at depth 10")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    op = _HaarMatrixOperator(w.grid, disjoint_block_matrix(w))
-    result = operator_norm(op, tol=tol)
-    if not result.converged:
-        raise ConvergenceError(
-            "disjoint block norm did not converge", result.value, result.residual
-        )
-    return result.value
+    return float(np.linalg.svd(disjoint_block_matrix(w), compute_uv=False)[0])

@@ -5,7 +5,9 @@ every integral is a finite sum and identities can be asserted at machine
 precision.  Per-interval data is laid out level-contiguously: the value for
 the interval (level, position) sits at flat offset 2**level - 1 + position.
 Levels 0..depth-1 carry Haar functions (both children exist); level depth is
-the leaf level.
+the leaf level.  The layout is a binary heap: offset i has its children at
+2i+1 and 2i+2, so on a Haar-indexed array levels 0..depth-2 are
+[:haar_size // 2], their left children [1::2] and right children [2::2].
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "product_formula_coeff",
     "subtree_sums",
     "sum_interval_constants",
+    "gather_left_child",
     "count_operations",
 ]
 
@@ -346,6 +349,13 @@ def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray
         acc = np.repeat(acc, 2) + haar_constants[Grid.level_slice(lev)]
         _tally(1 << lev)
     return np.repeat(acc, 2)
+
+
+def gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
+    """out_I = value at I- for I at levels 0..depth-2, 0 at level depth-1."""
+    out = np.zeros(grid.haar_size)
+    out[: grid.haar_size // 2] = haar_values[1::2]
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
-    DyadicIndex,
     Grid,
     HaarSymbol,
     LeafFunction,
+    averages,
     averaging_function,
+    gather_left_child,
     sum_interval_constants,
     synthesize,
 )
@@ -36,16 +37,11 @@ __all__ = [
     "Composition",
     "OperatorSum",
     "ChildPairForm",
-    "paraproduct",
-    "multiplier",
-    "haar_shift",
-    "q_operator",
-    "q_symbol",
+    "multiplier_pieces",
     "resolution_pieces",
-    "mean_cross_operator",
     "conjugated_shift",
     "composed_identity_forms",
-    "shift_kernel",
+    "shift_kernel_table",
 ]
 
 PARAPRODUCT_KINDS = ("01", "10", "00", "11")
@@ -172,13 +168,11 @@ class HaarShift(DyadicOperator):
         c = f.symbol.coeff
         if self.kind == "identity":
             return synthesize(HaarSymbol(grid, c.copy(), 0.0))
+        src = c[: grid.haar_size // 2]
         out = np.zeros(grid.haar_size)
-        for lev in range(grid.depth - 1):
-            src = c[Grid.level_slice(lev)]
-            dst = out[Grid.level_slice(lev + 1)]
-            dst[0::2] = src
-            if self.kind == "full":
-                dst[1::2] = -src
+        out[1::2] = src
+        if self.kind == "full":
+            out[2::2] = -src
         return synthesize(HaarSymbol(grid, out, 0.0))
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
@@ -186,13 +180,9 @@ class HaarShift(DyadicOperator):
         c = f.symbol.coeff
         if self.kind == "identity":
             return synthesize(HaarSymbol(grid, c.copy(), 0.0))
-        out = np.zeros(grid.haar_size)
-        for lev in range(grid.depth - 1):
-            src = c[Grid.level_slice(lev + 1)]
-            if self.kind == "half":
-                out[Grid.level_slice(lev)] = src[0::2]
-            else:
-                out[Grid.level_slice(lev)] = src[0::2] - src[1::2]
+        out = gather_left_child(grid, c)
+        if self.kind == "full":
+            out[: grid.haar_size // 2] -= c[2::2]
         return synthesize(HaarSymbol(grid, out, 0.0))
 
 
@@ -277,47 +267,20 @@ class ChildPairForm(DyadicOperator):
         )
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        grid = self.grid
+        half = self.grid.haar_size // 2
         u = self._measure(f, self.in_kind)
-        scattered = np.zeros(grid.haar_size)
-        for lev in range(grid.depth - 1):
-            t = self.coeffs[Grid.level_slice(lev)] * u[Grid.level_slice(lev)]
-            scattered[Grid.level_slice(lev + 1)][0::2] = t
+        scattered = np.zeros(self.grid.haar_size)
+        scattered[1::2] = self.coeffs[:half] * u[:half]
         return self._emit(scattered, self.out_kind)
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        grid = self.grid
         v = self._measure(f, self.out_kind)
-        gathered = np.zeros(grid.haar_size)
-        for lev in range(grid.depth - 1):
-            gathered[Grid.level_slice(lev)] = v[Grid.level_slice(lev + 1)][0::2]
+        gathered = gather_left_child(self.grid, v)
         return self._emit(self.coeffs * gathered, self.in_kind)
 
 
 # --------------------------------------------------------------------------
 # constructors
-
-
-def paraproduct(grid: Grid, symbol, kind: str, label: str = "") -> Paraproduct:
-    """Paraproduct from a Haar-coefficient symbol, an averages symbol, or a
-    bare per-interval array."""
-    from .grid import MultiscaleAverages
-
-    if isinstance(symbol, HaarSymbol):
-        values = symbol.coeff
-    elif isinstance(symbol, MultiscaleAverages):
-        values = symbol.haar_part
-    else:
-        values = np.asarray(symbol, dtype=float)
-    return Paraproduct(grid, values, kind, label)
-
-
-def multiplier(b: LeafFunction, label: str = "M_b") -> Multiplier:
-    return Multiplier(b.grid, b, label)
-
-
-def haar_shift(kind: str, grid: Grid) -> HaarShift:
-    return HaarShift(grid, kind)
 
 
 def multiplier_pieces(b: LeafFunction) -> dict[str, DyadicOperator]:
@@ -339,39 +302,13 @@ def multiplier_pieces(b: LeafFunction) -> dict[str, DyadicOperator]:
     }
 
 
-def q_symbol(w: Weight, side: str, kind: str) -> np.ndarray:
-    """Symbol for one factor of the weighted resolution: the Haar
-    coefficients of w^{+-1/2} for kinds (0,1)/(1,0), its averages for (0,0).
-    """
-    func = w.w_half if side == "left" else w.w_inv_half
-    if kind in ("01", "10"):
-        return func.symbol.coeff
-    if kind == "00":
-        return func.averages.haar_part
-    raise ValueError(f"no resolution symbol for paraproduct kind {kind!r}")
-
-
-def q_operator(w: Weight, shift: str, left: str, right: str) -> Composition:
-    """One composition operator of the weighted resolution:
-    P^{left}_{what} o shift o P^{right}_{w^{-1/2}hat}."""
-    grid = w.grid
-    return Composition(
-        [
-            Paraproduct(grid, q_symbol(w, "left", left), left),
-            haar_shift(shift, grid),
-            Paraproduct(grid, q_symbol(w, "right", right), right),
-        ],
-        label=f"Q_{left}_{right}",
-    )
-
-
 def resolution_pieces(w: Weight, shift: str) -> dict[str, DyadicOperator]:
     """All sixteen pieces of the conjugation expanded through the four-piece
     multiplier decomposition on both sides: nine paraproduct compositions
     keyed by their Q labels, plus the seven mean-involving cross pieces
     summed under the key "mean_cross"."""
     grid = w.grid
-    s = haar_shift(shift, grid)
+    s = HaarShift(grid, shift)
     left = multiplier_pieces(w.w_half)
     right = multiplier_pieces(w.w_inv_half)
     pieces: dict[str, DyadicOperator] = {}
@@ -388,29 +325,17 @@ def resolution_pieces(w: Weight, shift: str) -> dict[str, DyadicOperator]:
     return pieces
 
 
-def mean_cross_operator(w: Weight, shift: str) -> DyadicOperator:
-    return resolution_pieces(w, shift)["mean_cross"]
-
-
 def conjugated_shift(w: Weight, shift: str) -> Composition:
     """M_{w^{1/2}} o shift o M_{w^{-1/2}}, applied factor by factor."""
     grid = w.grid
     return Composition(
         [
             Multiplier(grid, w.w_half, "M_w_half"),
-            haar_shift(shift, grid),
+            HaarShift(grid, shift),
             Multiplier(grid, w.w_inv_half, "M_w_inv_half"),
         ],
         label="M_conj",
     )
-
-
-def _gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
-    """out_I = value at I- for I at levels 0..depth-2 (0 at the last level)."""
-    out = np.zeros(grid.haar_size)
-    for lev in range(grid.depth - 1):
-        out[Grid.level_slice(lev)] = haar_values[Grid.level_slice(lev + 1)][0::2]
-    return out
 
 
 def composed_identity_forms(w: Weight) -> dict[str, ChildPairForm]:
@@ -428,8 +353,8 @@ def composed_identity_forms(w: Weight) -> dict[str, ChildPairForm]:
     outer factor's symbol is evaluated at the shifted interval I-).
     """
     grid = w.grid
-    hat_left = _gather_left_child(grid, w.w_half.symbol.coeff)
-    avg_left = _gather_left_child(grid, w.w_half.averages.haar_part)
+    hat_left = gather_left_child(grid, w.w_half.symbol.coeff)
+    avg_left = gather_left_child(grid, w.w_half.averages.haar_part)
     hat_r = w.w_inv_half.symbol.coeff
     avg_r = w.w_inv_half.averages.haar_part
     return {
@@ -440,9 +365,18 @@ def composed_identity_forms(w: Weight) -> dict[str, ChildPairForm]:
     }
 
 
-def shift_kernel(grid: Grid, J: DyadicIndex, L: DyadicIndex, kind: str) -> float:
-    """<shift h_J^1, h_L^1>, computed by expanding h_J^1 in the
-    Haar-plus-mean basis, shifting, and pairing (not by a closed formula).
-    Covers nested, equal, and disjoint configurations."""
-    shifted = haar_shift(kind, grid).apply(averaging_function(grid, J))
-    return shifted.inner(averaging_function(grid, L))
+def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
+    """table[L, J] = <shift h_J^1, h_L^1> for every pair of intervals, rows
+    and columns at flat offsets over levels 0..depth.
+
+    Computed by expanding h_J^1 in the Haar-plus-mean basis, shifting, and
+    pairing (not by a closed formula): pairing with h_L^1 is the average
+    over L, so one shift and one averaging sweep give a whole column.
+    Covers nested, equal, and disjoint configurations.
+    """
+    shift = HaarShift(grid, kind)
+    table = np.empty((grid.tree_size, grid.tree_size))
+    for j_idx in grid.all_indices():
+        shifted = shift.apply(averaging_function(grid, j_idx))
+        table[:, j_idx.flat_offset] = averages(shifted).tree
+    return table

@@ -29,17 +29,18 @@ from .grid import (
     haar_function,
     product_formula_coeff,
 )
-from .norms import dense_norm, operator_norm
+from .norms import dense_norm, materialize, operator_norm
 from .operators import (
     Q_LABELS,
     SHIFT_KINDS,
+    HaarShift,
+    Multiplier,
     Paraproduct,
     composed_identity_forms,
     conjugated_shift,
-    haar_shift,
-    multiplier,
     multiplier_pieces,
     resolution_pieces,
+    shift_kernel_table,
 )
 from .weights import Weight, WeightSpec, disbalanced_data, make_weight
 
@@ -109,7 +110,7 @@ def _check_disbalanced(grid: Grid, seed: int) -> float:
 
 def _check_multiplier_decomposition(grid: Grid, rng) -> float:
     b = _random_leaf(grid, rng)
-    m_b = multiplier(b)
+    m_b = Multiplier(grid, b)
     pieces = multiplier_pieces(b)
     worst = 0.0
     for _ in range(20):
@@ -138,8 +139,8 @@ def _operator_zoo(grid: Grid, rng, seed: int) -> list:
     w = make_weight(WeightSpec("cascade", eps=0.4, seed=seed + 1), grid)
     sym = rng.normal(size=grid.haar_size)
     ops = [Paraproduct(grid, sym, kind) for kind in ("01", "10", "00", "11")]
-    ops.append(multiplier(_random_leaf(grid, rng)))
-    ops += [haar_shift(kind, grid) for kind in SHIFT_KINDS]
+    ops.append(Multiplier(grid, _random_leaf(grid, rng)))
+    ops += [HaarShift(grid, kind) for kind in SHIFT_KINDS]
     pieces = resolution_pieces(w, "half")
     ops += [pieces[label] for label in Q_LABELS]
     ops.append(pieces["mean_cross"])
@@ -163,12 +164,7 @@ def _check_dense_oracle(rng, seed: int) -> float:
     grid = Grid(NORM_LAW_DEPTH)
     worst = 0.0
     for op in _operator_zoo(grid, rng, seed):
-        mat = np.column_stack(
-            [
-                op.apply(LeafFunction(grid, e)).values
-                for e in np.eye(grid.leaf_count)
-            ]
-        )
+        mat = materialize(op)
         for _ in range(5):
             f = _random_leaf(grid, rng)
             worst = max(
@@ -195,19 +191,19 @@ def _check_norm_engine_agreement(rng, seed: int, tol: float) -> float:
 
 def _check_shift_kernel(grid: Grid) -> float:
     """Nested pairs against the exact closed form, plus the pinned disjoint
-    and brother-pair values, batched through one averaging sweep per J."""
-    shift = haar_shift("half", grid)
+    and brother-pair values, read from the half-shift kernel table."""
+    table = shift_kernel_table(grid, "half")
+
+    def kernel(j_idx: DyadicIndex, l_idx: DyadicIndex) -> float:
+        return float(table[l_idx.flat_offset, j_idx.flat_offset])
+
     worst = 0.0
     all_indices = list(grid.all_indices())
     for j_idx in all_indices:
-        shifted = shift.apply(averaging_function(grid, j_idx))
-        kernel_tree = averages(shifted).tree  # <S h_J^1, h_L^1> for every L
         for l_idx in all_indices:
             if j_idx.strictly_contains(l_idx):
                 expected = nested_kernel_value(grid, j_idx, l_idx)
-                worst = max(
-                    worst, abs(kernel_tree[l_idx.flat_offset] - expected)
-                )
+                worst = max(worst, abs(kernel(j_idx, l_idx) - expected))
         # magnitude of the ancestor sum never exceeds sqrt(2)/|J|
         bound = math.sqrt(2.0) / j_idx.length
         if abs(s_coefficient(grid, j_idx)) > bound + 1e-12:
@@ -215,12 +211,10 @@ def _check_shift_kernel(grid: Grid) -> float:
     # the two level-1 brothers pair to zero
     brothers = [DyadicIndex(1, 0), DyadicIndex(1, 1)]
     for j_idx, l_idx in (brothers, brothers[::-1]):
-        shifted = shift.apply(averaging_function(grid, j_idx))
-        worst = max(worst, abs(shifted.inner(averaging_function(grid, l_idx))))
+        worst = max(worst, abs(kernel(j_idx, l_idx)))
     if grid.depth >= 3:
         # right-brother-to-left-brother disjoint pair with value sqrt(2)
-        shifted = shift.apply(averaging_function(grid, DyadicIndex(2, 2)))
-        value = shifted.inner(averaging_function(grid, DyadicIndex(2, 1)))
+        value = kernel(DyadicIndex(2, 2), DyadicIndex(2, 1))
         worst = max(worst, abs(value - math.sqrt(2.0)))
     return worst
 

@@ -144,16 +144,6 @@ class Weight:
             w=self.w_inv, w_inv=self.w, w_half=self.w_inv_half, w_inv_half=self.w_half
         )
 
-    def measure(self, f: LeafFunction, index: DyadicIndex) -> float:
-        """The w-mass of f over an interval: integral of f*w."""
-        start, stop = index.leaf_range(self.grid.depth)
-        chunk = self.w.values[start:stop] * f.values[start:stop]
-        return float(chunk.sum()) / self.grid.leaf_count
-
-    def mass(self, index: DyadicIndex) -> float:
-        """w(I) = integral of w over I."""
-        return self.w.averages[index] * index.length
-
     @cached_property
     def a2(self) -> float:
         return a2_characteristic(self)

@@ -40,6 +40,7 @@ from haarshift import (
     BATTERY_ROW_LABELS,
     DyadicIndex,
     Grid,
+    HaarShift,
     HaarSymbol,
     LeafFunction,
     Paraproduct,
@@ -52,7 +53,6 @@ from haarshift import (
     corona,
     dense_norm,
     ell_inf_norm,
-    haar_shift,
     inequality_battery,
     make_weight,
     operator_norm,
@@ -139,7 +139,7 @@ def test_criterion_1_exact_identity_suite():
 )
 def test_criterion_1_literal_uniform_kernel_law():
     grid = Grid(8)
-    shift = haar_shift("half", grid)
+    shift = HaarShift(grid, "half")
     from haarshift import averaging_function
 
     for j_idx in grid.all_indices():
@@ -203,9 +203,9 @@ def test_criterion_2_norm_laws():
 
 def test_criterion_3_half_shift_contract():
     grid = Grid(8)
-    norm = dense_norm(haar_shift("half", grid))
+    norm = dense_norm(HaarShift(grid, "half"))
     rng = np.random.default_rng(11)
-    shift = haar_shift("half", grid)
+    shift = HaarShift(grid, "half")
     worst = 0.0
     for _ in range(20):
         coeff = rng.normal(size=grid.haar_size)

@@ -113,6 +113,26 @@ def test_norms_depth_cap_usage_error():
     assert code == 2
 
 
+def test_norms_non_finite_tol_usage_error():
+    for tol in ("nan", "inf"):
+        code, _, err = _run(
+            ["norms", "--weight", "constant:c=1", "--depth", "2", "--tol", tol]
+        )
+        assert code == 2
+        assert "error: tol must be finite and positive" in err
+
+
+def test_norms_unwritable_out_usage_error(tmp_path):
+    out_file = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(
+        ["norms", "--weight", "constant:c=1", "--depth", "2", "--out", str(out_file)]
+    )
+    assert code == 2
+    assert "error:" in err and "--out" in err
+    assert out == ""
+    assert not out_file.parent.exists()
+
+
 def test_norms_identity_shift_bounded_ratios():
     code, out, _ = _run(
         ["norms", "--weight", "power:alpha=0.7", "--depth", "6",
@@ -244,6 +264,16 @@ def test_corona_flat_weight_single_generation():
     assert "generation 0: 1 interval(s): (0,0)" in out
     assert "generation 1" not in out
     assert "super-geometric check: PASS" in out
+
+
+def test_corona_non_finite_gamma_usage_error():
+    for gamma in ("nan", "inf"):
+        code, out, err = _run(
+            ["corona", "--weight", "constant:c=1", "--depth", "4", "--gamma", gamma]
+        )
+        assert code == 2
+        assert "error: corona threshold gamma" in err
+        assert "PASS" not in out
 
 
 def test_corona_cascade_chains():

@@ -10,11 +10,13 @@ from haarshift import (
     BATTERY_ROW_LABELS,
     DyadicIndex,
     Grid,
+    HaarShift,
     HaarSymbol,
     LeafFunction,
     Weight,
     WeightSpec,
     averages,
+    averaging_function,
     carleson_embedding_constant,
     cm_norm,
     corona,
@@ -26,9 +28,9 @@ from haarshift import (
     haar_function,
     inequality_battery,
     make_weight,
+    materialize,
     s_pi,
     s_pi_sharp_ratio,
-    shift_kernel,
     square_function,
     subtree_sums,
     weighted_square_norm_sq,
@@ -238,8 +240,9 @@ def test_corona_step_weight_left_chain():
 
 
 def test_corona_gamma_validation():
-    with pytest.raises(ValueError):
-        corona(_cascade(Grid(4)), DyadicIndex(0, 0), 1.0)
+    for gamma in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            corona(_cascade(Grid(4)), DyadicIndex(0, 0), gamma)
 
 
 def test_corona_contract_random_cascades():
@@ -391,17 +394,21 @@ def test_disjoint_block_matrix_matches_entrywise_kernel():
     mat = disjoint_block_matrix(w)
     hat_half = w.w_half.symbol
     hat_inv = w.w_inv_half.symbol
+    shift = materialize(HaarShift(grid, "half"))
     indices = list(grid.haar_indices())
     for l_pos, l_idx in enumerate(indices[:20]):
         for j_pos, j_idx in enumerate(indices[:20]):
             if l_idx.contains(j_idx) or j_idx.contains(l_idx):
                 expected = 0.0
             else:
-                expected = (
-                    hat_half[l_idx]
-                    * shift_kernel(grid, j_idx, l_idx, "half")
-                    * hat_inv[j_idx]
+                # <S h_J^1, h_L^1> as a dense pairing
+                kernel = (
+                    averaging_function(grid, l_idx).values
+                    @ shift
+                    @ averaging_function(grid, j_idx).values
+                    / grid.leaf_count
                 )
+                expected = hat_half[l_idx] * kernel * hat_inv[j_idx]
             assert mat[l_pos, j_pos] == pytest.approx(expected, abs=1e-12)
 
 
@@ -409,7 +416,7 @@ def test_disjoint_block_norm_matches_dense_oracle():
     grid = Grid(6)
     w = make_weight(WeightSpec("power", alpha=0.5), grid)
     spectral = float(np.linalg.svd(disjoint_block_matrix(w), compute_uv=False)[0])
-    assert disjoint_block_norm(w, tol=1e-11) == pytest.approx(spectral, rel=1e-6)
+    assert disjoint_block_norm(w) == pytest.approx(spectral, rel=1e-6)
 
 
 def test_disjoint_block_ratio_reported_across_powers():

@@ -5,13 +5,13 @@ import pytest
 
 from haarshift import (
     Grid,
+    HaarShift,
     LeafFunction,
+    Multiplier,
     Paraproduct,
     dense_norm,
-    haar_shift,
     make_weight,
     materialize,
-    multiplier,
     operator_norm,
     power_iteration,
     resolution_pieces,
@@ -71,13 +71,13 @@ def test_multiplier_dense_norm():
     grid = Grid(5)
     rng = np.random.default_rng(1)
     b = LeafFunction(grid, rng.uniform(-2.0, 2.0, grid.leaf_count))
-    assert dense_norm(multiplier(b)) == pytest.approx(
+    assert dense_norm(Multiplier(grid, b)) == pytest.approx(
         np.abs(b.values).max(), rel=1e-10
     )
 
 
 def test_half_shift_dense_norm_is_one():
-    assert dense_norm(haar_shift("half", Grid(6))) == pytest.approx(1.0, rel=1e-9)
+    assert dense_norm(HaarShift(Grid(6), "half")) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_power_iteration_agrees_with_dense_on_random_compositions():
@@ -89,7 +89,7 @@ def test_power_iteration_agrees_with_dense_on_random_compositions():
         ops = [
             Paraproduct(grid, rng.normal(size=grid.haar_size), str(k)) for k in kinds
         ]
-        op = Composition([ops[0], haar_shift("half", grid), ops[1]])
+        op = Composition([ops[0], HaarShift(grid, "half"), ops[1]])
         dn = dense_norm(op)
         on = operator_norm(op, tol=1e-9).value
         if dn > 1e-12:
@@ -142,6 +142,17 @@ def test_estimate_below_true_norm():
         assert loose <= dense_norm(op) * (1 + 1e-12)
 
 
+def test_dense_norm_exact_on_near_tied_top_singular_values():
+    # P00 is diagonal in the Haar basis, so its norm is max|symbol|; a 1e-5
+    # gap between the two largest entries must not bias the oracle
+    grid = Grid(6)
+    rng = np.random.default_rng(8)
+    symbol = rng.uniform(-0.5, 0.5, grid.haar_size)
+    symbol[5], symbol[40] = 1.0, 1.0 - 1e-5
+    got = dense_norm(Paraproduct(grid, symbol, "00"))
+    assert got == pytest.approx(1.0, rel=1e-12)
+
+
 def test_dense_norm_depth_cap():
     with pytest.raises(ValueError):
         dense_norm(_IdentityOperator(Grid(11)))
@@ -153,6 +164,13 @@ def test_invalid_parameters():
         operator_norm(op, tol=0.0)
     with pytest.raises(ValueError):
         operator_norm(op, max_iter=0)
+
+
+def test_power_iteration_rejects_non_finite_tol():
+    x0 = np.ones(4)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            power_iteration(lambda x: x, x0, tol, 10)
 
 
 def test_nonconvergence_flagged():

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from haarshift import (
+    Composition,
     DyadicIndex,
     Grid,
+    HaarShift,
     HaarSymbol,
     LeafFunction,
+    Multiplier,
     Paraproduct,
     Q_LABELS,
     SHIFT_KINDS,
@@ -24,15 +27,13 @@ from haarshift import (
     conjugated_shift,
     dense_norm,
     haar_function,
-    haar_shift,
     make_weight,
     materialize,
-    multiplier,
     multiplier_pieces,
     nested_kernel_value,
     resolution_pieces,
     s_coefficient,
-    shift_kernel,
+    shift_kernel_table,
     synthesize,
 )
 
@@ -102,29 +103,14 @@ def test_paraproduct_dense_matrix_brute_force():
         assert np.abs(got.values - expected).max() < 1e-12
 
 
-def test_paraproduct_factory_accepts_symbol_objects():
-    grid = Grid(5)
-    rng = np.random.default_rng(21)
-    from haarshift import paraproduct
-
-    b = _rand(grid, rng)
-    f = _rand(grid, rng)
-    via_symbol = paraproduct(grid, b.symbol, "01").apply(f)
-    via_array = paraproduct(grid, b.symbol.coeff, "01").apply(f)
-    assert np.array_equal(via_symbol.values, via_array.values)
-    via_avg = paraproduct(grid, b.averages, "00").apply(f)
-    via_arr2 = paraproduct(grid, b.averages.haar_part, "00").apply(f)
-    assert np.array_equal(via_avg.values, via_arr2.values)
-
-
 def test_multiplier_identity_and_norm():
     grid = Grid(6)
     rng = np.random.default_rng(4)
-    one = multiplier(LeafFunction.constant(grid, 1.0))
+    one = Multiplier(grid, LeafFunction.constant(grid, 1.0))
     f = _rand(grid, rng)
     assert np.array_equal(one.apply(f).values, f.values)
     b = _rand(grid, rng)
-    assert dense_norm(multiplier(b)) == pytest.approx(
+    assert dense_norm(Multiplier(grid, b)) == pytest.approx(
         np.abs(b.values).max(), rel=1e-9
     )
 
@@ -134,7 +120,7 @@ def test_multiplier_decomposition_with_mean_term():
     rng = np.random.default_rng(5)
     b = _rand(grid, rng)
     pieces = multiplier_pieces(b)
-    direct = multiplier(b)
+    direct = Multiplier(grid, b)
     for _ in range(10):
         f = _rand(grid, rng)
         split = sum(p.apply(f).values for p in pieces.values())
@@ -146,21 +132,21 @@ def test_multiplier_decomposition_with_mean_term():
 
 def test_half_shift_moves_root_haar_to_left_child():
     grid = Grid(4)
-    out = haar_shift("half", grid).apply(haar_function(grid, DyadicIndex(0, 0)))
+    out = HaarShift(grid, "half").apply(haar_function(grid, DyadicIndex(0, 0)))
     expected = haar_function(grid, DyadicIndex(1, 0))
     assert np.abs(out.values - expected.values).max() < 1e-13
 
 
 def test_half_shift_truncates_finest_level():
     grid = Grid(4)
-    out = haar_shift("half", grid).apply(haar_function(grid, DyadicIndex(3, 5)))
+    out = HaarShift(grid, "half").apply(haar_function(grid, DyadicIndex(3, 5)))
     assert np.abs(out.values).max() == 0.0
 
 
 def test_full_shift_action():
     grid = Grid(4)
     k = DyadicIndex(1, 1)
-    out = haar_shift("full", grid).apply(haar_function(grid, k))
+    out = HaarShift(grid, "full").apply(haar_function(grid, k))
     expected = (
         haar_function(grid, k.left).values - haar_function(grid, k.right).values
     )
@@ -171,7 +157,7 @@ def test_identity_shift_is_mean_zero_projection():
     grid = Grid(5)
     rng = np.random.default_rng(6)
     f = _rand(grid, rng)
-    out = haar_shift("identity", grid).apply(f)
+    out = HaarShift(grid, "identity").apply(f)
     assert np.abs(out.values - (f.values - f.mean())).max() < 1e-12
 
 
@@ -179,18 +165,18 @@ def test_shifts_annihilate_constants():
     grid = Grid(5)
     c = LeafFunction.constant(grid, 2.0)
     for kind in SHIFT_KINDS:
-        assert np.abs(haar_shift(kind, grid).apply(c).values).max() < 1e-13
+        assert np.abs(HaarShift(grid, kind).apply(c).values).max() < 1e-13
 
 
 def test_half_shift_norm_at_most_one():
-    assert dense_norm(haar_shift("half", Grid(8))) <= 1.0 + 1e-9
+    assert dense_norm(HaarShift(Grid(8), "half")) <= 1.0 + 1e-9
 
 
 def test_half_shift_isometry_below_truncation():
     # on the span of Haar levels 0..n-2 the half shift permutes the basis
     grid = Grid(6)
     rng = np.random.default_rng(7)
-    shift = haar_shift("half", grid)
+    shift = HaarShift(grid, "half")
     for _ in range(20):
         coeff = rng.normal(size=grid.haar_size)
         coeff[Grid.level_slice(grid.depth - 1)] = 0.0
@@ -202,7 +188,7 @@ def test_shift_adjoints_against_dense():
     grid = Grid(5)
     rng = np.random.default_rng(8)
     for kind in SHIFT_KINDS:
-        op = haar_shift(kind, grid)
+        op = HaarShift(grid, kind)
         mat = materialize(op)
         for _ in range(5):
             f = _rand(grid, rng)
@@ -213,25 +199,32 @@ def test_shift_adjoints_against_dense():
 
 
 def test_q_operator_matches_resolution_piece():
+    # the literal P^{left}_{w^{1/2}} o shift o P^{right}_{w^{-1/2}}: Haar
+    # coefficients for kinds 01/10, averages for 00
     grid = Grid(6)
     rng = np.random.default_rng(20)
     w = _cascade(grid, 0.45, 12)
-    from haarshift import q_operator
+
+    def symbol(func, kind):
+        return func.symbol.coeff if kind in ("01", "10") else func.averages.haar_part
 
     pieces = resolution_pieces(w, "half")
     for left in ("01", "10", "00"):
         for right in ("01", "10", "00"):
-            direct = q_operator(w, "half", left, right)
-            assert direct.label == f"Q_{left}_{right}"
-            via_pieces = pieces[direct.label]
+            direct = Composition(
+                [
+                    Paraproduct(grid, symbol(w.w_half, left), left),
+                    HaarShift(grid, "half"),
+                    Paraproduct(grid, symbol(w.w_inv_half, right), right),
+                ]
+            )
+            via_pieces = pieces[f"Q_{left}_{right}"]
             for _ in range(3):
                 f = _rand(grid, rng)
                 assert (
                     np.abs(direct.apply(f).values - via_pieces.apply(f).values).max()
                     < 1e-13
                 )
-    with pytest.raises(ValueError):
-        q_operator(w, "half", "11", "00")
 
 
 def test_flat_weight_resolution():
@@ -244,7 +237,7 @@ def test_flat_weight_resolution():
     for label in Q_LABELS:
         out = pieces[label].apply(f)
         if label == "Q_00_00":
-            expected = haar_shift("half", grid).apply(f)
+            expected = HaarShift(grid, "half").apply(f)
             assert np.abs(out.values - expected.values).max() < 1e-12
         else:
             assert np.abs(out.values).max() < 1e-13
@@ -271,7 +264,7 @@ def test_adjoint_consistency_all_operators():
         Paraproduct(grid, rng.normal(size=grid.haar_size), k)
         for k in ("01", "10", "00", "11")
     ]
-    ops += [haar_shift(k, grid) for k in SHIFT_KINDS]
+    ops += [HaarShift(grid, k) for k in SHIFT_KINDS]
     pieces = resolution_pieces(w, "half")
     ops += list(pieces.values())
     ops.append(conjugated_shift(w, "half"))
@@ -335,7 +328,7 @@ def test_flat_weight_easy4_form_is_half_shift_below_truncation():
     rng = np.random.default_rng(15)
     w = make_weight(WeightSpec("constant", c=1.0), grid)
     form = composed_identity_forms(w)["Q_00_00"]
-    shift = haar_shift("half", grid)
+    shift = HaarShift(grid, "half")
     for _ in range(10):
         f = _rand(grid, rng)
         assert np.abs(form.apply(f).values - shift.apply(f).values).max() < 1e-12
@@ -380,28 +373,34 @@ def test_easy1_rank_sum_oracle():
 # -- shift kernel ---------------------------------------------------------------
 
 
+def _kernel(grid, j, l):
+    """<half-shift h_J^1, h_L^1> looked up in the kernel table."""
+    return shift_kernel_table(grid, "half")[l.flat_offset, j.flat_offset]
+
+
 def test_kernel_brother_pairs_vanish():
     grid = Grid(5)
     j, l = DyadicIndex(1, 0), DyadicIndex(1, 1)
-    assert shift_kernel(grid, j, l, "half") == pytest.approx(0.0, abs=1e-14)
-    assert shift_kernel(grid, l, j, "half") == pytest.approx(0.0, abs=1e-14)
+    assert _kernel(grid, j, l) == pytest.approx(0.0, abs=1e-14)
+    assert _kernel(grid, l, j) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_kernel_disjoint_example_sqrt2():
     # J = [1/2, 3/4), L = [1/4, 1/2): h_J^1 = 1 - h_root + sqrt(2) h_{[1/2,1)}
     for depth in (3, 4, 6):
         grid = Grid(depth)
-        value = shift_kernel(grid, DyadicIndex(2, 2), DyadicIndex(2, 1), "half")
+        value = _kernel(grid, DyadicIndex(2, 2), DyadicIndex(2, 1))
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_kernel_nested_pairs_match_closed_form():
     for depth in (4, 5, 6):
         grid = Grid(depth)
+        table = shift_kernel_table(grid, "half")
         for j in grid.all_indices():
             for l in grid.all_indices():
                 if j.strictly_contains(l):
-                    got = shift_kernel(grid, j, l, "half")
+                    got = table[l.flat_offset, j.flat_offset]
                     expected = nested_kernel_value(grid, j, l)
                     assert abs(got - expected) < 1e-12
 
@@ -410,12 +409,13 @@ def test_kernel_constant_in_l_for_right_children_and_root():
     # away from the left-child boundary term the kernel on nested pairs
     # depends on J alone and equals the signed ancestor sum
     grid = Grid(5)
+    table = shift_kernel_table(grid, "half")
     for j in grid.all_indices():
         if j.is_left_child:
             continue
         for l in grid.all_indices():
             if j.strictly_contains(l):
-                assert shift_kernel(grid, j, l, "half") == pytest.approx(
+                assert table[l.flat_offset, j.flat_offset] == pytest.approx(
                     s_coefficient(grid, j), abs=1e-12
                 )
 
