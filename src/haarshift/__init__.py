@@ -39,7 +39,6 @@ from .weights import (
 from .operators import (
     Q_LABELS,
     SHIFT_KINDS,
-    ChildPairForm,
     Composition,
     DyadicOperator,
     HaarShift,

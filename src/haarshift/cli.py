@@ -158,7 +158,8 @@ def sweep_rows(
 def fit_slopes(rows: list[SweepRow]) -> tuple[list[SlopeFit], list[str]]:
     """Ordinary least squares of log(norm) on log(a2) per term, over rows
     with a2 > 1.01 and norm > 1e-10; terms with fewer than three usable
-    points are reported in the notices instead."""
+    points, or fewer than three distinct a2 among them, are reported in the
+    notices instead."""
     fits, notices = [], []
     for term in TERM_ORDER:
         pts = [
@@ -170,6 +171,10 @@ def fit_slopes(rows: list[SweepRow]) -> tuple[list[SlopeFit], list[str]]:
             notices.append(
                 f"fit omitted for {term}: only {len(pts)} usable points"
             )
+            continue
+        n_a2 = len({x for x, _ in pts})
+        if n_a2 < FIT_MIN_POINTS:
+            notices.append(f"fit omitted for {term}: only {n_a2} distinct a2 values")
             continue
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])
@@ -238,8 +243,8 @@ def cmd_norms(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = [float(p) for p in args.params.split(",") if p.strip()]
-    if len(params) < 3:
-        raise SystemExit("sweep needs at least 3 parameters")
+    if len(set(params)) < 3:
+        raise ValueError("sweep needs at least 3 distinct parameters")
     rows, warnings = sweep_rows(
         args.family, params, args.depth, args.shift, args.tol, args.seed, args.workers
     )

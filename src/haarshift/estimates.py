@@ -21,10 +21,9 @@ from .grid import (
     gather_left_child,
     subtree_sums,
     sum_interval_constants,
-    synthesize,
 )
 from .norms import ConvergenceError, power_iteration
-from .operators import shift_kernel_table
+from .operators import Paraproduct, shift_kernel_table
 from .weights import Weight
 
 __all__ = [
@@ -95,7 +94,7 @@ def s_pi_sharp_ratio(
     constant is the top eigenvalue of  P (M_u D M_u) P.
     """
     grid = w.grid
-    parents = _parent_averages(grid, w.w.averages.haar_part)
+    d = Paraproduct(grid, _parent_averages(grid, w.w.averages.haar_part), "00")
     u = w.w_inv_half.values
     u_norm_sq = float(u @ u)
 
@@ -104,8 +103,7 @@ def s_pi_sharp_ratio(
 
     def matvec(x: np.ndarray) -> np.ndarray:
         y = project(x) * u
-        sym = LeafFunction(grid, y).symbol
-        z = synthesize(HaarSymbol(grid, sym.coeff * parents, 0.0)).values * u
+        z = d.apply(LeafFunction(grid, y)).values * u
         return project(z)
 
     rng = np.random.default_rng(seed)

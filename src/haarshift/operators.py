@@ -1,5 +1,7 @@
 """Linear operators on the dyadic grid: paraproducts, pointwise multipliers,
 Haar shifts, and the composition operators of the weighted resolution.
+Every Haar-coefficient map (paraproducts, shifts, and the closed forms of
+the half-shift compositions) is a Paraproduct with an atom placement.
 
 Every operator applies matrix-free in O(2**depth) via tree sweeps; a dense
 materialization exists only as an oracle for small depths (see norms).
@@ -36,7 +38,6 @@ __all__ = [
     "HaarShift",
     "Composition",
     "OperatorSum",
-    "ChildPairForm",
     "multiplier_pieces",
     "resolution_pieces",
     "conjugated_shift",
@@ -73,48 +74,73 @@ class DyadicOperator:
 
 
 class Paraproduct(DyadicOperator):
-    """P^{(a,b)}_s : f -> sum_I s_I <f, h_I^b> h_I^a over Haar-bearing I.
+    """P^{(a,b)}_s : f -> sum_I s_I <f, h_I^b> atom_a(I') over Haar-bearing I.
 
-    Type "01" reads averages and emits Haar atoms; "10" reads Haar
-    coefficients and emits averaging atoms; "00" is a Haar multiplier;
-    "11" reads averages and emits averaging atoms.
+    kind[1] = b says what apply reads: "0" Haar coefficients, "1" averages;
+    kind[0] = a says what it emits in the same code.  shift places the
+    scaled weights: at I (identity), at I- (half), or as I- minus I+ (full);
+    the last two drop the finest Haar level, whose children are leaves.
+    With shift "half" this is the paraproduct composed with h_I -> h_{I-}.
+    symbol None is the unit symbol, whose multiply is skipped (HaarShift).
     """
 
-    def __init__(self, grid: Grid, symbol: np.ndarray, kind: str, label: str = ""):
+    def __init__(
+        self,
+        grid: Grid,
+        symbol: np.ndarray | None,
+        kind: str,
+        label: str = "",
+        shift: str = "identity",
+    ):
         super().__init__(grid)
         if kind not in PARAPRODUCT_KINDS:
             raise ValueError(f"unknown paraproduct kind {kind!r}")
-        symbol = np.asarray(symbol, dtype=float)
-        if symbol.shape != (grid.haar_size,):
-            raise ValueError("symbol must have one entry per Haar-bearing interval")
+        if shift not in SHIFT_KINDS:
+            raise ValueError(f"unknown shift kind {shift!r}")
+        if symbol is not None:
+            symbol = np.asarray(symbol, dtype=float)
+            if symbol.shape != (grid.haar_size,):
+                raise ValueError("symbol must have one entry per Haar-bearing interval")
         self.symbol = symbol
         self.kind = kind
+        self.shift = shift
         self.label = label or f"P{kind}"
         # types reading Haar coefficients send constants to zero
-        self.annihilates_constants = kind in ("10", "00")
+        self.annihilates_constants = kind[1] == "0"
 
-    def _forward(self, f: LeafFunction, kind: str) -> LeafFunction:
+    @staticmethod
+    def _measure(f: LeafFunction, atom: str) -> np.ndarray:
+        return f.symbol.coeff if atom == "0" else f.averages.haar_part
+
+    def _emit(self, weights: np.ndarray, atom: str) -> LeafFunction:
         grid = self.grid
-        if kind == "01":
-            coeff = self.symbol * f.averages.haar_part
-            return synthesize(HaarSymbol(grid, coeff, 0.0))
-        if kind == "10":
-            consts = self.symbol * f.symbol.coeff * grid.haar_inv_lengths
-            return LeafFunction(grid, sum_interval_constants(grid, consts))
-        if kind == "00":
-            coeff = self.symbol * f.symbol.coeff
-            return synthesize(HaarSymbol(grid, coeff, 0.0))
-        consts = self.symbol * f.averages.haar_part * grid.haar_inv_lengths
+        if atom == "0":
+            return synthesize(HaarSymbol(grid, weights, 0.0))
+        consts = weights * grid.haar_inv_lengths
         return LeafFunction(grid, sum_interval_constants(grid, consts))
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        return self._forward(f, self.kind)
+        weights = self._measure(f, self.kind[1])
+        if self.symbol is not None:
+            weights = self.symbol * weights
+        if self.shift != "identity":
+            src = weights[: self.grid.haar_size // 2]
+            weights = np.zeros(self.grid.haar_size)
+            weights[1::2] = src
+            if self.shift == "full":
+                weights[2::2] = -src
+        return self._emit(weights, self.kind[0])
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        return self._forward(f, _ADJOINT_KIND[self.kind])
-
-
-_ADJOINT_KIND = {"01": "10", "10": "01", "00": "00", "11": "11"}
+        weights = self._measure(f, self.kind[0])
+        if self.shift != "identity":
+            gathered = gather_left_child(self.grid, weights)
+            if self.shift == "full":
+                gathered[: self.grid.haar_size // 2] -= weights[2::2]
+            weights = gathered
+        if self.symbol is not None:
+            weights = self.symbol * weights
+        return self._emit(weights, self.kind[1])
 
 
 class MeanCorrection(DyadicOperator):
@@ -146,44 +172,17 @@ class Multiplier(DyadicOperator):
     adjoint_apply = apply
 
 
-class HaarShift(DyadicOperator):
-    """Dyadic shift acting on Haar coefficients.
+class HaarShift(Paraproduct):
+    """Dyadic shift acting on Haar coefficients: the unit-symbol "00"
+    paraproduct with the output atom placed by kind.
 
     half: h_I -> h_{I-};  full: h_I -> h_{I-} - h_{I+};  identity: h_I -> h_I.
     All kinds annihilate the mean coefficient, and (half/full) drop the
     finest Haar level, whose image would need resolution beyond the grid.
     """
 
-    annihilates_constants = True
-
     def __init__(self, grid: Grid, kind: str):
-        super().__init__(grid)
-        if kind not in SHIFT_KINDS:
-            raise ValueError(f"unknown shift kind {kind!r}")
-        self.kind = kind
-        self.label = f"shift_{kind}"
-
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        grid = self.grid
-        c = f.symbol.coeff
-        if self.kind == "identity":
-            return synthesize(HaarSymbol(grid, c.copy(), 0.0))
-        src = c[: grid.haar_size // 2]
-        out = np.zeros(grid.haar_size)
-        out[1::2] = src
-        if self.kind == "full":
-            out[2::2] = -src
-        return synthesize(HaarSymbol(grid, out, 0.0))
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        grid = self.grid
-        c = f.symbol.coeff
-        if self.kind == "identity":
-            return synthesize(HaarSymbol(grid, c.copy(), 0.0))
-        out = gather_left_child(grid, c)
-        if self.kind == "full":
-            out[: grid.haar_size // 2] -= c[2::2]
-        return synthesize(HaarSymbol(grid, out, 0.0))
+        super().__init__(grid, None, "00", f"shift_{kind}", kind)
 
 
 class Composition(DyadicOperator):
@@ -224,59 +223,6 @@ class OperatorSum(DyadicOperator):
         for op in self.terms:
             out += op.adjoint_apply(f).values
         return LeafFunction(self.grid, out)
-
-
-class ChildPairForm(DyadicOperator):
-    """Rank-sum operator  f -> sum_I c_I <f, atom_in(I)> atom_out(I-)  over
-    I with both grandchildren on the grid (levels 0..depth-2).
-
-    atom kinds: "haar" pairs/emits h, "avg" pairs/emits h^1.  These are the
-    closed forms the shift compositions collapse to when the shift can be
-    absorbed into one factor.
-    """
-
-    def __init__(
-        self,
-        grid: Grid,
-        coeffs: np.ndarray,
-        in_kind: str,
-        out_kind: str,
-        label: str = "child_pair_form",
-    ):
-        super().__init__(grid)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (grid.haar_size,):
-            raise ValueError("coeffs must have one entry per Haar-bearing interval")
-        if in_kind not in ("haar", "avg") or out_kind not in ("haar", "avg"):
-            raise ValueError("atom kinds must be 'haar' or 'avg'")
-        self.coeffs = coeffs
-        self.in_kind = in_kind
-        self.out_kind = out_kind
-        self.label = label
-        self.annihilates_constants = in_kind == "haar"
-
-    def _measure(self, f: LeafFunction, kind: str) -> np.ndarray:
-        return f.symbol.coeff if kind == "haar" else f.averages.haar_part
-
-    def _emit(self, weights: np.ndarray, kind: str) -> LeafFunction:
-        grid = self.grid
-        if kind == "haar":
-            return synthesize(HaarSymbol(grid, weights, 0.0))
-        return LeafFunction(
-            grid, sum_interval_constants(grid, weights * grid.haar_inv_lengths)
-        )
-
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        half = self.grid.haar_size // 2
-        u = self._measure(f, self.in_kind)
-        scattered = np.zeros(self.grid.haar_size)
-        scattered[1::2] = self.coeffs[:half] * u[:half]
-        return self._emit(scattered, self.out_kind)
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        v = self._measure(f, self.out_kind)
-        gathered = gather_left_child(self.grid, v)
-        return self._emit(self.coeffs * gathered, self.in_kind)
 
 
 # --------------------------------------------------------------------------
@@ -338,11 +284,11 @@ def conjugated_shift(w: Weight, shift: str) -> Composition:
     )
 
 
-def composed_identity_forms(w: Weight) -> dict[str, ChildPairForm]:
+def composed_identity_forms(w: Weight) -> dict[str, Paraproduct]:
     """Closed forms of the four compositions that absorb the half shift.
 
-    Each is a rank sum over I of coefficient * atom(I-) x atom(I), exactly
-    equal to the corresponding composition operator:
+    The form of Q_ab_cd is the kind a+d paraproduct with the output atom
+    moved to I-, exactly equal to the composition operator:
 
         Q_10_01 = sum  what(I-)   winvhat(I)   h^1_{I-} x h^1_I
         Q_10_00 = sum  what(I-)   <winv>_I     h^1_{I-} x h_I
@@ -358,10 +304,10 @@ def composed_identity_forms(w: Weight) -> dict[str, ChildPairForm]:
     hat_r = w.w_inv_half.symbol.coeff
     avg_r = w.w_inv_half.averages.haar_part
     return {
-        "Q_10_01": ChildPairForm(grid, hat_left * hat_r, "avg", "avg", "form_10_01"),
-        "Q_10_00": ChildPairForm(grid, hat_left * avg_r, "haar", "avg", "form_10_00"),
-        "Q_00_01": ChildPairForm(grid, avg_left * hat_r, "avg", "haar", "form_00_01"),
-        "Q_00_00": ChildPairForm(grid, avg_left * avg_r, "haar", "haar", "form_00_00"),
+        "Q_10_01": Paraproduct(grid, hat_left * hat_r, "11", "form_10_01", "half"),
+        "Q_10_00": Paraproduct(grid, hat_left * avg_r, "10", "form_10_00", "half"),
+        "Q_00_01": Paraproduct(grid, avg_left * hat_r, "01", "form_00_01", "half"),
+        "Q_00_00": Paraproduct(grid, avg_left * avg_r, "00", "form_00_00", "half"),
     }
 
 

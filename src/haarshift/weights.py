@@ -32,6 +32,10 @@ __all__ = [
 
 FAMILIES = ("constant", "power", "cascade", "step")
 
+# largest max(w)/min(w) accepted: past it the sweeps cancel (step weights,
+# depth 8: dense Q_00_00 off its closed form by 2e-14 at 1e20, 6e-6 at 1e28)
+MAX_DYNAMIC_RANGE = 1e16
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -126,6 +130,8 @@ class Weight:
         vals = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("weight values must be strictly positive and finite")
+        if vals.max() / vals.min() > MAX_DYNAMIC_RANGE:
+            raise ValueError(f"weight dynamic range exceeds {MAX_DYNAMIC_RANGE:g}")
         half = np.sqrt(vals)
         return cls(
             w=LeafFunction(grid, vals),
@@ -160,6 +166,8 @@ def make_weight(spec: WeightSpec, grid: Grid) -> Weight:
     elif spec.family == "cascade":
         vals = _cascade_values(spec.eps, spec.seed, n)
     else:  # step
+        if (spec.split * grid.leaf_count) % 1.0 != 0.0:
+            raise ValueError(f"step split {spec.split:g} is not a multiple of 2**-{n}")
         edges = np.arange(1, grid.leaf_count + 1) * 2.0**-n
         vals = np.where(edges <= spec.split, spec.a, spec.b)
     return Weight.from_values(grid, vals)
@@ -197,7 +205,9 @@ def _cascade_values(eps: float, seed: int, depth: int) -> np.ndarray:
 def a2_characteristic(weight: Weight) -> float:
     """[w]_{A2}: max of <w>_I <1/w>_I over every interval of the grid."""
     prod = weight.w.averages.tree * weight.w_inv.averages.tree
-    return float(prod.max())
+    # Cauchy-Schwarz gives <w>_I <1/w>_I >= 1 on every I; rounding of a
+    # constant weight can land one ulp below
+    return max(1.0, float(prod.max()))
 
 
 def weighted_average(f: LeafFunction, sigma: Weight, K: DyadicIndex) -> float:

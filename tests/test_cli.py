@@ -8,7 +8,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from haarshift.cli import CSV_HEADER, TERM_ORDER, fit_slopes, main, sweep_rows
+from haarshift.cli import (
+    CSV_HEADER,
+    TERM_ORDER,
+    SweepRow,
+    fit_slopes,
+    main,
+    sweep_rows,
+)
 
 
 def _run(argv):
@@ -106,6 +113,17 @@ def test_norms_invalid_spec_usage_error():
     assert code == 2
     code, _, _ = _run(["norms", "--weight", "blob:x=1", "--depth", "5"])
     assert code == 2
+    # a step split must lie on the grid (non-dyadic at depth 4)
+    code, _, _ = _run(["norms", "--weight", "step:a=4,b=1,split=0.3", "--depth", "4"])
+    assert code == 2
+
+
+def test_norms_weight_dynamic_range_usage_error():
+    code, out, err = _run(
+        ["norms", "--weight", "step:a=1e-300,b=1,split=0.5", "--depth", "4"]
+    )
+    assert code == 2
+    assert out == "" and "dynamic range" in err
 
 
 def test_norms_depth_cap_usage_error():
@@ -178,6 +196,26 @@ def test_sweep_requires_three_params():
         ["sweep", "--family", "power", "--params", "0.3,0.5", "--depth", "5"]
     )
     assert code not in (0, None)
+    # three distinct values are needed, not three entries
+    code, _, _ = _run(
+        ["sweep", "--family", "power", "--params", "0.5,0.5,0.5", "--depth", "3",
+         "--workers", "0"]
+    )
+    assert code == 2
+
+
+def test_sweep_fit_omitted_on_repeated_a2():
+    # step weights a and 1/a share one a2, so three params give two abscissae
+    code, _, err = _run(
+        ["sweep", "--family", "step", "--params", "0.25,4,0.5", "--depth", "4",
+         "--workers", "0"]
+    )
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[0] == "term  slope  intercept  r_squared  points"
+    assert not [l for l in lines[1:] if not l.startswith("fit omitted")]
+    for term in ("Q_00_01", "Q_00_00", "M_conj"):
+        assert f"fit omitted for {term}: only 2 distinct a2 values" in lines
 
 
 def test_sweep_constant_family_fits_omitted(tmp_path):
@@ -242,6 +280,17 @@ def test_fit_slopes_recomputable():
         assert fit.points == len(pts) >= 3
         slope = np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0]
         assert fit.slope == pytest.approx(slope, abs=1e-12)
+
+
+def test_fit_points_count_rows_not_distinct_a2():
+    rows = [
+        SweepRow("power", p, 5, "half", "Q_00_00", a2, 2.0 * a2, 2.0)
+        for p, a2 in ((0.1, 2.0), (0.2, 2.0), (0.3, 3.0), (0.4, 5.0))
+    ]
+    fits, _ = fit_slopes(rows)
+    (fit,) = [f for f in fits if f.term == "Q_00_00"]
+    assert fit.points == 4
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
 
 
 # -- battery / corona / kernel ----------------------------------------------

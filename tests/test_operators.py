@@ -103,6 +103,38 @@ def test_paraproduct_dense_matrix_brute_force():
         assert np.abs(got.values - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+@pytest.mark.parametrize("kind", ("01", "10", "00", "11"))
+def test_paraproduct_placement_explicit_atom_matrix(kind, shift):
+    # sum_I s_I outer(atom_a(I') , atom_b(I)) / n with I' = I, I- or I- - I+,
+    # built from explicit atoms; the 1/n is the leaf-basis inner product
+    grid = Grid(5)
+    rng = np.random.default_rng(20)
+    symbol = rng.normal(size=grid.haar_size)
+    atom = {"0": haar_function, "1": averaging_function}
+    expected = np.zeros((grid.leaf_count, grid.leaf_count))
+    for i in grid.haar_indices():
+        read = atom[kind[1]](grid, i).values
+        if shift == "identity":
+            placed = atom[kind[0]](grid, i).values
+        elif i.level > grid.depth - 2:
+            continue
+        else:
+            placed = atom[kind[0]](grid, i.left).values
+            if shift == "full":
+                placed = placed - atom[kind[0]](grid, i.right).values
+        expected += symbol[i.flat_offset] * np.outer(placed, read)
+    expected /= grid.leaf_count
+    op = Paraproduct(grid, symbol, kind, shift=shift)
+    assert np.abs(materialize(op) - expected).max() < 1e-12
+    basis = np.eye(grid.leaf_count)
+    adjoint = np.column_stack(
+        [op.adjoint_apply(LeafFunction(grid, e)).values for e in basis]
+    )
+    assert np.abs(adjoint - expected.T).max() < 1e-12
+    assert op.annihilates_constants == (kind[1] == "0")
+
+
 def test_multiplier_identity_and_norm():
     grid = Grid(6)
     rng = np.random.default_rng(4)

@@ -99,9 +99,25 @@ def test_spec_parse_round_trip():
 
 
 def test_a2_constant_weight_is_one():
-    for c in (0.25, 1.0, 7.0):
+    for c in (0.25, 1.0, 7.0, 49.0, 98.0):
         w = make_weight(WeightSpec("constant", c=c), Grid(5))
         assert a2_characteristic(w) == 1.0
+
+
+def test_weight_dynamic_range_limit():
+    grid = Grid(1)
+    Weight.from_values(grid, [1.0, 1e16])
+    with pytest.raises(ValueError, match="dynamic range"):
+        Weight.from_values(grid, [1.0, 1.0000000000000002e16])
+    with pytest.raises(ValueError, match="dynamic range"):
+        make_weight(WeightSpec("step", a=1e-300, b=1.0, split=0.5), grid)
+
+
+def test_step_split_must_lie_on_the_grid():
+    make_weight(WeightSpec("step", a=4.0, b=1.0, split=0.25), Grid(2))
+    for split, depth in ((0.3, 4), (0.25, 1), (0.1, 8)):
+        with pytest.raises(ValueError, match="split"):
+            make_weight(WeightSpec("step", a=4.0, b=1.0, split=split), Grid(depth))
 
 
 def test_a2_step_hand_value():
