@@ -40,7 +40,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# arithmetic-operation tally (used only to assert the O(2**n) transform cost)
+# arithmetic-operation tally (used to assert the O(2**n) sweep costs)
 
 _OP_TALLY: list | None = None
 
@@ -63,7 +63,8 @@ class OperationCount:
 
 @contextmanager
 def count_operations():
-    """Count elementwise arithmetic done by analyze/synthesize/averages."""
+    """Count elementwise arithmetic done by the tree sweeps: analyze,
+    synthesize, averages, subtree sums and LeafFunction's lazy derivations."""
     global _OP_TALLY
     saved = _OP_TALLY
     _OP_TALLY = [0]
@@ -194,27 +195,75 @@ class Grid:
         view = self.tree_inv_lengths[: self.haar_size]
         return view
 
+    @cached_property
+    def haar_inv_sqrt_lengths(self) -> np.ndarray:
+        """|I|^{-1/2} for every Haar-bearing interval, level-contiguous."""
+        out = np.empty(self.haar_size)
+        for lev in range(self.depth):
+            out[self.level_slice(lev)] = 2.0 ** (lev / 2)
+        out.setflags(write=False)
+        return out
+
 
 # --------------------------------------------------------------------------
 # leaf functions and their multiscale data
 
 
-@dataclass(frozen=True, eq=False)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    if arr.flags.writeable:
+        arr = np.array(arr, dtype=float)
+        arr.setflags(write=False)
+    return arr
+
+
 class LeafFunction:
-    """Real function piecewise constant on the leaves of a dyadic grid."""
+    """Real function piecewise constant on the leaves of a dyadic grid.
+
+    A LeafFunction is born from leaf values (the constructor), from a
+    HaarSymbol (from_symbol) or from averaging-atom weights
+    sum_I u_I h^1_I over Haar-bearing I (from_atoms).  values, symbol,
+    averages and mean() are derived lazily from the birth form, cached, and
+    read-only, so operators hand each other Haar data without a round trip
+    through leaf values.
+    """
 
     grid: Grid
-    values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.leaf_count,):
-            raise ValueError(
-                f"expected {self.grid.leaf_count} leaf values, got {vals.shape}"
-            )
-        vals = vals.copy()
+    def __init__(self, grid: Grid, values: np.ndarray):
+        vals = np.array(values, dtype=float)
+        if vals.shape != (grid.leaf_count,):
+            raise ValueError(f"expected {grid.leaf_count} leaf values, got {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self.__dict__.update(grid=grid, _born="values", values=vals)
+
+    @classmethod
+    def _born_as(cls, grid: Grid, born: str, **data) -> "LeafFunction":
+        f = cls.__new__(cls)
+        f.__dict__.update(grid=grid, _born=born, **data)
+        return f
+
+    @classmethod
+    def from_symbol(cls, symbol: "HaarSymbol") -> "LeafFunction":
+        """The function with these Haar coefficients and mean.  A writable
+        coefficient array is copied, so the cached data cannot go stale."""
+        if symbol.coeff.flags.writeable:
+            symbol = HaarSymbol(symbol.grid, _read_only(symbol.coeff), symbol.mean)
+        return cls._born_as(symbol.grid, "symbol", symbol=symbol)
+
+    @classmethod
+    def from_atoms(cls, grid: Grid, weights: np.ndarray) -> "LeafFunction":
+        """sum_I weights_I h^1_I over Haar-bearing I (h^1_I = 1_I / |I|).
+        A writable weight array is copied, as in from_symbol."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (grid.haar_size,):
+            raise ValueError("expected one weight per Haar-bearing interval")
+        return cls._born_as(grid, "atoms", _atoms=_read_only(weights))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LeafFunction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LeafFunction is immutable; cannot delete {name!r}")
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "LeafFunction":
@@ -228,15 +277,37 @@ class LeafFunction:
         return float(np.sqrt(self.inner(self)))
 
     def mean(self) -> float:
-        return float(self.values.mean())
+        if self._born == "values":
+            return float(self.values.mean())
+        return float(self.symbol.mean)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        if self._born == "atoms":
+            consts = self._atoms * self.grid.haar_inv_lengths
+            _tally(self.grid.haar_size)
+            vals = sum_interval_constants(self.grid, consts)
+            vals.setflags(write=False)
+            return vals
+        return self.averages.tree[Grid.level_slice(self.grid.depth)]
 
     @cached_property
     def averages(self) -> "MultiscaleAverages":
-        return averages(self)
+        if self._born == "values":
+            return averages(self)
+        return MultiscaleAverages(self.grid, _synthesis_tree(self.symbol))
 
     @cached_property
     def symbol(self) -> "HaarSymbol":
-        return analyze(self)
+        if self._born == "values":
+            return analyze(self)
+        # <h^1_I, h_J> = +-|J|^{-1/2} for I inside J-/J+, else 0
+        grid = self.grid
+        inside = subtree_sums(grid, self._atoms)
+        coeff = (inside[1::2] - inside[2::2]) * grid.haar_inv_sqrt_lengths
+        _tally(2 * grid.haar_size)
+        coeff.setflags(write=False)
+        return HaarSymbol(grid, coeff, float(inside[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +352,7 @@ def _integral_tree(f: LeafFunction) -> np.ndarray:
     _tally(f.grid.leaf_count)
     for lev in range(n - 1, -1, -1):
         child = tree[Grid.level_slice(lev + 1)]
-        tree[Grid.level_slice(lev)] = child[0::2] + child[1::2]
+        np.add(child[0::2], child[1::2], out=tree[Grid.level_slice(lev)])
         _tally(1 << lev)
     return tree
 
@@ -296,29 +367,35 @@ def averages(f: LeafFunction) -> MultiscaleAverages:
 
 def analyze(f: LeafFunction) -> HaarSymbol:
     """Haar coefficients of f plus the mean, one upward sweep."""
-    n = f.grid.depth
     ints = _integral_tree(f)
-    coeff = np.empty(f.grid.haar_size)
-    for lev in range(n):
-        child = ints[Grid.level_slice(lev + 1)]
-        coeff[Grid.level_slice(lev)] = (child[0::2] - child[1::2]) * 2.0 ** (lev / 2)
-        _tally(2 << lev)
+    coeff = (ints[1::2] - ints[2::2]) * f.grid.haar_inv_sqrt_lengths
+    _tally(2 * f.grid.haar_size)
     coeff.setflags(write=False)
     return HaarSymbol(f.grid, coeff, float(ints[0]))
 
 
+def _synthesis_tree(symbol: HaarSymbol) -> np.ndarray:
+    """Averages over every interval from Haar data, one downward sweep:
+    <f>_{I-} = <f>_I + coeff_I |I|^{-1/2}, <f>_{I+} = <f>_I - coeff_I |I|^{-1/2}."""
+    grid = symbol.grid
+    steps = symbol.coeff * grid.haar_inv_sqrt_lengths
+    tree = np.empty(grid.tree_size)
+    tree[0] = symbol.mean
+    for lev in range(grid.depth):
+        level = Grid.level_slice(lev)
+        parent, step = tree[level], steps[level]
+        child = tree[Grid.level_slice(lev + 1)]
+        np.add(parent, step, out=child[0::2])
+        np.subtract(parent, step, out=child[1::2])
+        _tally(3 << lev)
+    tree.setflags(write=False)
+    return tree
+
+
 def synthesize(symbol: HaarSymbol) -> LeafFunction:
     """Rebuild the leaf function from Haar coefficients, one downward sweep."""
-    n = symbol.grid.depth
-    vals = np.array([symbol.mean])
-    for lev in range(n):
-        step = symbol.coeff[Grid.level_slice(lev)] * 2.0 ** (lev / 2)
-        nxt = np.empty(2 << lev)
-        nxt[0::2] = vals + step
-        nxt[1::2] = vals - step
-        _tally(3 << lev)
-        vals = nxt
-    return LeafFunction(symbol.grid, vals)
+    tree = _synthesis_tree(symbol)
+    return LeafFunction(symbol.grid, tree[Grid.level_slice(symbol.grid.depth)])
 
 
 def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
@@ -333,10 +410,11 @@ def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
     n = grid.depth
     out[Grid.level_slice(n - 1)] = haar_values[Grid.level_slice(n - 1)]
     for lev in range(n - 2, -1, -1):
+        level = Grid.level_slice(lev)
         child = out[Grid.level_slice(lev + 1)]
-        out[Grid.level_slice(lev)] = (
-            haar_values[Grid.level_slice(lev)] + child[0::2] + child[1::2]
-        )
+        np.add(haar_values[level], child[0::2], out=out[level])
+        out[level] += child[1::2]
+        _tally(2 << lev)
     return out
 
 

@@ -5,6 +5,10 @@ the half-shift compositions) is a Paraproduct with an atom placement.
 
 Every operator applies matrix-free in O(2**depth) via tree sweeps; a dense
 materialization exists only as an oracle for small depths (see norms).
+A paraproduct returns its result in the Haar form it computed (a
+LeafFunction born from a symbol or from averaging-atom weights), so a
+composition passes Haar data from factor to factor and sweeps to leaf
+values only where something reads them.
 Operators are immutable and stateless after construction: apply and
 adjoint_apply are pure and safe to call concurrently.
 """
@@ -22,8 +26,6 @@ from .grid import (
     averages,
     averaging_function,
     gather_left_child,
-    sum_interval_constants,
-    synthesize,
 )
 from .weights import Weight
 
@@ -113,11 +115,12 @@ class Paraproduct(DyadicOperator):
         return f.symbol.coeff if atom == "0" else f.averages.haar_part
 
     def _emit(self, weights: np.ndarray, atom: str) -> LeafFunction:
-        grid = self.grid
+        # the output keeps its Haar data: the next factor reads .symbol or
+        # .averages without a sweep to leaf values and back
+        weights.setflags(write=False)
         if atom == "0":
-            return synthesize(HaarSymbol(grid, weights, 0.0))
-        consts = weights * grid.haar_inv_lengths
-        return LeafFunction(grid, sum_interval_constants(grid, consts))
+            return LeafFunction.from_symbol(HaarSymbol(self.grid, weights, 0.0))
+        return LeafFunction.from_atoms(self.grid, weights)
 
     def apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[1])

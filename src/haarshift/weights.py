@@ -35,6 +35,8 @@ FAMILIES = ("constant", "power", "cascade", "step")
 # largest max(w)/min(w) accepted: past it the sweeps cancel (step weights,
 # depth 8: dense Q_00_00 off its closed form by 2e-14 at 1e20, 6e-6 at 1e28)
 MAX_DYNAMIC_RANGE = 1e16
+# weight values lie in [TINY, 1/TINY], so that 1/w is a normal double too
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,11 @@ class Weight:
         vals = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("weight values must be strictly positive and finite")
+        if vals.min() < TINY or vals.max() > 1.0 / TINY:
+            raise ValueError(
+                f"weight values must lie in [{TINY:g}, {1.0 / TINY:g}], "
+                "so that 1/w is a normal double"
+            )
         if vals.max() / vals.min() > MAX_DYNAMIC_RANGE:
             raise ValueError(f"weight dynamic range exceeds {MAX_DYNAMIC_RANGE:g}")
         half = np.sqrt(vals)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from haarshift import Weight, haar_function
+from haarshift import Weight, averaging_function, haar_function
 
 
 def dense_sharp_ratio(w: Weight) -> float:
@@ -30,3 +30,28 @@ def dense_sharp_ratio(w: Weight) -> float:
     inv = np.linalg.inv(chol)
     sym = inv @ a_form @ inv.T
     return float(np.linalg.eigvalsh(sym).max())
+
+
+def explicit_paraproduct_matrix(grid, symbol, kind: str, shift: str) -> np.ndarray:
+    """Leaf-basis matrix of the placed paraproduct, summed from explicit atoms:
+
+        sum_I s_I outer(atom_a(I'), atom_b(I)) / n,  I' = I, I- or I- - I+,
+
+    with atom "0" = h_I and "1" = h^1_I, kind = a + b, and the 1/n the
+    leaf-basis inner product.  symbol None is the unit symbol.
+    """
+    atom = {"0": haar_function, "1": averaging_function}
+    expected = np.zeros((grid.leaf_count, grid.leaf_count))
+    for i in grid.haar_indices():
+        read = atom[kind[1]](grid, i).values
+        if shift == "identity":
+            placed = atom[kind[0]](grid, i).values
+        elif i.level > grid.depth - 2:
+            continue
+        else:
+            placed = atom[kind[0]](grid, i.left).values
+            if shift == "full":
+                placed = placed - atom[kind[0]](grid, i.right).values
+        scale = 1.0 if symbol is None else symbol[i.flat_offset]
+        expected += scale * np.outer(placed, read)
+    return expected / grid.leaf_count

@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +347,22 @@ def test_kernel_table_verifies_closed_form():
 def test_kernel_depth_cap():
     code, _, _ = _run(["kernel", "--depth", "8"])
     assert code == 2
+
+
+def test_norms_weight_with_subnormal_reciprocal_usage_error():
+    # 1/w must be a normal double: c = 1e308 gave a2 = 1.0000000000000069
+    for c in ("1e308", "1e-308"):
+        code, out, err = _run(["norms", "--weight", f"constant:c={c}", "--depth", "5"])
+        assert code == 2, c
+        assert out == "" and "normal double" in err
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarshift", "verify", "--depth", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout

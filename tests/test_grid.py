@@ -285,3 +285,69 @@ def test_synthesize_rejects_wrong_size():
         LeafFunction(grid, np.ones(5))
     bad = HaarSymbol(grid, np.zeros(grid.haar_size), 0.0)
     assert synthesize(bad).values.shape == (grid.leaf_count,)
+
+
+# -- birth forms: leaf values, Haar symbol, averaging atoms ------------------
+
+
+@pytest.mark.parametrize("depth", (3, 9))
+def test_symbol_born_function_matches_leaf_route(depth):
+    grid = Grid(depth)
+    rng = np.random.default_rng(40 + depth)
+    for _ in range(5):
+        f = _rand(grid, rng)
+        g = LeafFunction.from_symbol(analyze(f))
+        assert np.abs(g.values - f.values).max() < 1e-13
+        assert np.abs(g.averages.tree - averages(f).tree).max() < 1e-13
+        assert abs(g.mean() - f.mean()) < 1e-13
+
+
+@pytest.mark.parametrize("depth", (3, 9))
+def test_symbol_born_values_are_synthesize_bit_for_bit(depth):
+    grid = Grid(depth)
+    rng = np.random.default_rng(50 + depth)
+    for _ in range(5):
+        s = HaarSymbol(grid, rng.normal(size=grid.haar_size), float(rng.normal()))
+        assert np.array_equal(LeafFunction.from_symbol(s).values, synthesize(s).values)
+
+
+@pytest.mark.parametrize("depth", (3, 9))
+def test_atom_born_symbol_matches_analysis_of_its_values(depth):
+    # sum_I u_I h^1_I, leaf values summed from explicit averaging atoms
+    grid = Grid(depth)
+    rng = np.random.default_rng(60 + depth)
+    atoms = np.array([averaging_function(grid, i).values for i in grid.haar_indices()])
+    for _ in range(5):
+        u = rng.uniform(-1.0, 1.0, grid.haar_size)
+        f = LeafFunction.from_atoms(grid, u)
+        direct = LeafFunction(grid, u @ atoms)
+        scale = np.abs(direct.values).max()
+        assert np.abs(f.values - direct.values).max() < 1e-13 * scale
+        assert np.abs(f.symbol.coeff - analyze(direct).coeff).max() < 1e-13 * scale
+        assert abs(f.symbol.mean - direct.mean()) < 1e-13 * scale
+        assert abs(f.mean() - direct.mean()) < 1e-13 * scale
+        assert np.abs(f.averages.tree - averages(direct).tree).max() < 1e-13 * scale
+
+
+def test_derived_arrays_read_only():
+    grid = Grid(4)
+    rng = np.random.default_rng(70)
+    born = [
+        _rand(grid, rng),
+        LeafFunction.from_symbol(
+            HaarSymbol(grid, rng.normal(size=grid.haar_size), 0.5)
+        ),
+        LeafFunction.from_atoms(grid, rng.normal(size=grid.haar_size)),
+    ]
+    for f in born:
+        for arr in (f.values, f.averages.tree, f.symbol.coeff):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.values = np.zeros(grid.leaf_count)
+
+
+def test_from_atoms_rejects_wrong_size():
+    with pytest.raises(ValueError):
+        LeafFunction.from_atoms(Grid(3), np.ones(8))

@@ -13,6 +13,7 @@ import pytest
 from haarshift import (
     Composition,
     DyadicIndex,
+    DyadicOperator,
     Grid,
     HaarShift,
     HaarSymbol,
@@ -25,6 +26,7 @@ from haarshift import (
     averaging_function,
     composed_identity_forms,
     conjugated_shift,
+    count_operations,
     dense_norm,
     haar_function,
     make_weight,
@@ -36,6 +38,7 @@ from haarshift import (
     shift_kernel_table,
     synthesize,
 )
+from oracles import explicit_paraproduct_matrix
 
 
 def _rand(grid, rng):
@@ -106,25 +109,10 @@ def test_paraproduct_dense_matrix_brute_force():
 @pytest.mark.parametrize("shift", SHIFT_KINDS)
 @pytest.mark.parametrize("kind", ("01", "10", "00", "11"))
 def test_paraproduct_placement_explicit_atom_matrix(kind, shift):
-    # sum_I s_I outer(atom_a(I') , atom_b(I)) / n with I' = I, I- or I- - I+,
-    # built from explicit atoms; the 1/n is the leaf-basis inner product
     grid = Grid(5)
     rng = np.random.default_rng(20)
     symbol = rng.normal(size=grid.haar_size)
-    atom = {"0": haar_function, "1": averaging_function}
-    expected = np.zeros((grid.leaf_count, grid.leaf_count))
-    for i in grid.haar_indices():
-        read = atom[kind[1]](grid, i).values
-        if shift == "identity":
-            placed = atom[kind[0]](grid, i).values
-        elif i.level > grid.depth - 2:
-            continue
-        else:
-            placed = atom[kind[0]](grid, i.left).values
-            if shift == "full":
-                placed = placed - atom[kind[0]](grid, i.right).values
-        expected += symbol[i.flat_offset] * np.outer(placed, read)
-    expected /= grid.leaf_count
+    expected = explicit_paraproduct_matrix(grid, symbol, kind, shift)
     op = Paraproduct(grid, symbol, kind, shift=shift)
     assert np.abs(materialize(op) - expected).max() < 1e-12
     basis = np.eye(grid.leaf_count)
@@ -133,6 +121,57 @@ def test_paraproduct_placement_explicit_atom_matrix(kind, shift):
     )
     assert np.abs(adjoint - expected.T).max() < 1e-12
     assert op.annihilates_constants == (kind[1] == "0")
+
+
+class _Adjoint(DyadicOperator):
+    def __init__(self, op):
+        super().__init__(op.grid)
+        self.op = op
+
+    def apply(self, f):
+        return self.op.adjoint_apply(f)
+
+
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_q_terms_match_product_of_explicit_atom_matrices(shift):
+    # each factor hands the next its Haar data; the leaf route is the oracle:
+    # the product of the factors' dense matrices from explicit atoms
+    grid = Grid(7)
+    w = _cascade(grid)
+    pieces = resolution_pieces(w, shift)
+    symbols = {
+        "left": {"01": w.w_half.symbol.coeff, "10": w.w_half.symbol.coeff,
+                 "00": w.w_half.averages.haar_part},
+        "right": {"01": w.w_inv_half.symbol.coeff, "10": w.w_inv_half.symbol.coeff,
+                  "00": w.w_inv_half.averages.haar_part},
+    }
+    shift_mat = explicit_paraproduct_matrix(grid, None, "00", shift)
+    for label in Q_LABELS:
+        _, lk, rk = label.split("_")
+        left = explicit_paraproduct_matrix(grid, symbols["left"][lk], lk, "identity")
+        right = explicit_paraproduct_matrix(grid, symbols["right"][rk], rk, "identity")
+        expected = left @ shift_mat @ right
+        op = pieces[label]
+        assert np.abs(materialize(op) - expected).max() < 1e-12, label
+        assert np.abs(materialize(_Adjoint(op)) - expected.T).max() < 1e-12, label
+
+
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_q_term_matvec_cost_pinned(shift):
+    # one T*T matvec on a fresh input, through to leaf values, as the norm
+    # engine runs it: Haar data passes between factors without leaf sweeps
+    grid = Grid(10)
+    w = _cascade(grid)
+    rng = np.random.default_rng(30)
+    for label, op in resolution_pieces(w, shift).items():
+        if label == "mean_cross":
+            continue
+        f = _rand(grid, rng)
+        with count_operations() as ops:
+            op.adjoint_apply(op.apply(f)).values
+        assert ops.total <= 24 * grid.leaf_count, label
+        if label == "Q_00_00":
+            assert ops.total <= 8 * grid.leaf_count
 
 
 def test_multiplier_identity_and_norm():

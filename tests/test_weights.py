@@ -113,6 +113,17 @@ def test_weight_dynamic_range_limit():
         make_weight(WeightSpec("step", a=1e-300, b=1.0, split=0.5), grid)
 
 
+def test_weight_reciprocal_must_be_normal():
+    # 1/4.5e307 = 2.22e-308 lies below the smallest normal double
+    grid = Grid(1)
+    tiny = np.finfo(float).tiny
+    Weight.from_values(grid, [1.0 / tiny, 1.0 / tiny])
+    Weight.from_values(grid, [tiny, tiny])
+    for bad in (4.5e307, 1e308, 1e-308):
+        with pytest.raises(ValueError, match="normal double"):
+            Weight.from_values(grid, [bad, bad])
+
+
 def test_step_split_must_lie_on_the_grid():
     make_weight(WeightSpec("step", a=4.0, b=1.0, split=0.25), Grid(2))
     for split, depth in ((0.3, 4), (0.25, 1), (0.1, 8)):
