@@ -46,7 +46,6 @@ from .operators import (
     Multiplier,
     OperatorSum,
     Paraproduct,
-    composed_identity_forms,
     conjugated_shift,
     multiplier_pieces,
     resolution_pieces,

@@ -146,7 +146,9 @@ def sweep_rows(
     if workers == 0 or len(jobs) == 1:
         results = [_sweep_point(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all max_workers processes at the first submit
+        size = min(workers or os.cpu_count() or 1, len(jobs))
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_sweep_point, jobs))
     rows, warnings = [], []
     for point_rows, point_warnings in results:

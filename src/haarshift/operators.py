@@ -1,7 +1,7 @@
 """Linear operators on the dyadic grid: paraproducts, pointwise multipliers,
 Haar shifts, and the composition operators of the weighted resolution.
-Every Haar-coefficient map (paraproducts, shifts, and the closed forms of
-the half-shift compositions) is a Paraproduct with an atom placement.
+Every Haar-coefficient map (paraproducts, shifts, and the four resolution
+terms that close into one) is a Paraproduct with an atom placement.
 
 Every operator applies matrix-free in O(2**depth) via tree sweeps; a dense
 materialization exists only as an oracle for small depths (see norms).
@@ -43,7 +43,6 @@ __all__ = [
     "multiplier_pieces",
     "resolution_pieces",
     "conjugated_shift",
-    "composed_identity_forms",
     "shift_kernel_table",
 ]
 
@@ -83,7 +82,10 @@ class Paraproduct(DyadicOperator):
     scaled weights: at I (identity), at I- (half), or as I- minus I+ (full);
     the last two drop the finest Haar level, whose children are leaves.
     With shift "half" this is the paraproduct composed with h_I -> h_{I-}.
-    symbol None is the unit symbol, whose multiply is skipped (HaarShift).
+    outer scales each placed weight by its value at the output interval
+    (I-, and I+ for "full"), so P^{(a,b)}_s placed and scaled by t equals
+    P^{(a,0)}_t o shift o P^{(0,b)}_s.  A symbol or outer of None is the
+    unit symbol, whose multiply is skipped (HaarShift).
     """
 
     def __init__(
@@ -93,22 +95,29 @@ class Paraproduct(DyadicOperator):
         kind: str,
         label: str = "",
         shift: str = "identity",
+        outer: np.ndarray | None = None,
     ):
         super().__init__(grid)
         if kind not in PARAPRODUCT_KINDS:
             raise ValueError(f"unknown paraproduct kind {kind!r}")
         if shift not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {shift!r}")
-        if symbol is not None:
-            symbol = np.asarray(symbol, dtype=float)
-            if symbol.shape != (grid.haar_size,):
-                raise ValueError("symbol must have one entry per Haar-bearing interval")
-        self.symbol = symbol
+        self.symbol = self._checked(grid, symbol)
+        self.outer = self._checked(grid, outer)
         self.kind = kind
         self.shift = shift
         self.label = label or f"P{kind}"
         # types reading Haar coefficients send constants to zero
         self.annihilates_constants = kind[1] == "0"
+
+    @staticmethod
+    def _checked(grid: Grid, symbol: np.ndarray | None) -> np.ndarray | None:
+        if symbol is None:
+            return None
+        symbol = np.asarray(symbol, dtype=float)
+        if symbol.shape != (grid.haar_size,):
+            raise ValueError("symbol must have one entry per Haar-bearing interval")
+        return symbol
 
     @staticmethod
     def _measure(f: LeafFunction, atom: str) -> np.ndarray:
@@ -132,10 +141,14 @@ class Paraproduct(DyadicOperator):
             weights[1::2] = src
             if self.shift == "full":
                 weights[2::2] = -src
+        if self.outer is not None:
+            weights = self.outer * weights
         return self._emit(weights, self.kind[0])
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[0])
+        if self.outer is not None:
+            weights = self.outer * weights
         if self.shift != "identity":
             gathered = gather_left_child(self.grid, weights)
             if self.shift == "full":
@@ -255,7 +268,9 @@ def resolution_pieces(w: Weight, shift: str) -> dict[str, DyadicOperator]:
     """All sixteen pieces of the conjugation expanded through the four-piece
     multiplier decomposition on both sides: nine paraproduct compositions
     keyed by their Q labels, plus the seven mean-involving cross pieces
-    summed under the key "mean_cross"."""
+    summed under the key "mean_cross".  Q_ab_cd with b = c = "0" (the shift
+    passes h_I straight through) is one kind a+d paraproduct with the left
+    symbol as outer, bit-identical to the composition."""
     grid = w.grid
     s = HaarShift(grid, shift)
     left = multiplier_pieces(w.w_half)
@@ -263,9 +278,14 @@ def resolution_pieces(w: Weight, shift: str) -> dict[str, DyadicOperator]:
     pieces: dict[str, DyadicOperator] = {}
     for lk in ("01", "10", "00"):
         for rk in ("01", "10", "00"):
-            pieces[f"Q_{lk}_{rk}"] = Composition(
-                [left[lk], s, right[rk]], label=f"Q_{lk}_{rk}"
-            )
+            label = f"Q_{lk}_{rk}"
+            if lk[1] == rk[0] == "0":
+                pieces[label] = Paraproduct(
+                    grid, right[rk].symbol, lk[0] + rk[1], label, shift,
+                    left[lk].symbol,
+                )
+            else:
+                pieces[label] = Composition([left[lk], s, right[rk]], label=label)
     cross = [
         Composition([left["mean"], s, right[rk]]) for rk in ("01", "10", "00", "mean")
     ]
@@ -285,33 +305,6 @@ def conjugated_shift(w: Weight, shift: str) -> Composition:
         ],
         label="M_conj",
     )
-
-
-def composed_identity_forms(w: Weight) -> dict[str, Paraproduct]:
-    """Closed forms of the four compositions that absorb the half shift.
-
-    The form of Q_ab_cd is the kind a+d paraproduct with the output atom
-    moved to I-, exactly equal to the composition operator:
-
-        Q_10_01 = sum  what(I-)   winvhat(I)   h^1_{I-} x h^1_I
-        Q_10_00 = sum  what(I-)   <winv>_I     h^1_{I-} x h_I
-        Q_00_01 = sum  <whalf>_{I-} winvhat(I) h_{I-}   x h^1_I
-        Q_00_00 = sum  <whalf>_{I-} <winv>_I   h_{I-}   x h_I
-
-    (hats and averages taken of w^{1/2} and w^{-1/2} respectively; the
-    outer factor's symbol is evaluated at the shifted interval I-).
-    """
-    grid = w.grid
-    hat_left = gather_left_child(grid, w.w_half.symbol.coeff)
-    avg_left = gather_left_child(grid, w.w_half.averages.haar_part)
-    hat_r = w.w_inv_half.symbol.coeff
-    avg_r = w.w_inv_half.averages.haar_part
-    return {
-        "Q_10_01": Paraproduct(grid, hat_left * hat_r, "11", "form_10_01", "half"),
-        "Q_10_00": Paraproduct(grid, hat_left * avg_r, "10", "form_10_00", "half"),
-        "Q_00_01": Paraproduct(grid, avg_left * hat_r, "01", "form_00_01", "half"),
-        "Q_00_00": Paraproduct(grid, avg_left * avg_r, "00", "form_00_00", "half"),
-    }
 
 
 def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:

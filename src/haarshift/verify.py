@@ -36,7 +36,6 @@ from .operators import (
     HaarShift,
     Multiplier,
     Paraproduct,
-    composed_identity_forms,
     conjugated_shift,
     multiplier_pieces,
     resolution_pieces,
@@ -145,7 +144,8 @@ def _operator_zoo(grid: Grid, rng, seed: int) -> list:
     ops += [pieces[label] for label in Q_LABELS]
     ops.append(pieces["mean_cross"])
     ops.append(conjugated_shift(w, "half"))
-    ops += list(composed_identity_forms(w).values())
+    full = resolution_pieces(w, "full")
+    ops += [full[label] for label in ("Q_10_01", "Q_10_00", "Q_00_01", "Q_00_00")]
     return ops
 
 

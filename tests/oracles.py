@@ -32,26 +32,35 @@ def dense_sharp_ratio(w: Weight) -> float:
     return float(np.linalg.eigvalsh(sym).max())
 
 
-def explicit_paraproduct_matrix(grid, symbol, kind: str, shift: str) -> np.ndarray:
+def explicit_paraproduct_matrix(
+    grid, symbol, kind: str, shift: str, outer=None
+) -> np.ndarray:
     """Leaf-basis matrix of the placed paraproduct, summed from explicit atoms:
 
         sum_I s_I outer(atom_a(I'), atom_b(I)) / n,  I' = I, I- or I- - I+,
 
     with atom "0" = h_I and "1" = h^1_I, kind = a + b, and the 1/n the
-    leaf-basis inner product.  symbol None is the unit symbol.
+    leaf-basis inner product.  The outer symbol t scales each placed atom
+    at its own interval: t_I atom(I), t_{I-} atom(I-), or
+    t_{I-} atom(I-) - t_{I+} atom(I+).  None is the unit symbol.
     """
     atom = {"0": haar_function, "1": averaging_function}
+
+    def placed_at(j):
+        scale = 1.0 if outer is None else outer[j.flat_offset]
+        return scale * atom[kind[0]](grid, j).values
+
     expected = np.zeros((grid.leaf_count, grid.leaf_count))
     for i in grid.haar_indices():
         read = atom[kind[1]](grid, i).values
         if shift == "identity":
-            placed = atom[kind[0]](grid, i).values
+            placed = placed_at(i)
         elif i.level > grid.depth - 2:
             continue
         else:
-            placed = atom[kind[0]](grid, i.left).values
+            placed = placed_at(i.left)
             if shift == "full":
-                placed = placed - atom[kind[0]](grid, i.right).values
+                placed = placed - placed_at(i.right)
         scale = 1.0 if symbol is None else symbol[i.flat_offset]
         expected += scale * np.outer(placed, read)
     return expected / grid.leaf_count

@@ -252,6 +252,34 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_pool_never_larger_than_job_count(monkeypatch):
+    monkeypatch.setattr("haarshift.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    params = [0.3, 0.5, 0.7]
+    serial = sweep_rows("power", params, 3, "half", 1e-9, 1, workers=0)
+    for workers in (64, 2, None):
+        assert sweep_rows("power", params, 3, "half", 1e-9, 1, workers) == serial
+    assert _SerialPool.sizes == [3, 2, min(os.cpu_count() or 1, 3)]
+
+
 def test_sweep_depth_stability_reports(tmp_path):
     out_file = tmp_path / "d.csv"
     code, _, err = _run(

@@ -1,5 +1,5 @@
 """Operators: paraproducts, multipliers, shifts, the weighted resolution,
-easy-term closed forms, and the shifted averaging kernel.
+its fused terms, and the shifted averaging kernel.
 
 Dense matrices materialized from the matrix-free applies serve as the
 oracle throughout.
@@ -24,7 +24,6 @@ from haarshift import (
     SHIFT_KINDS,
     WeightSpec,
     averaging_function,
-    composed_identity_forms,
     conjugated_shift,
     count_operations,
     dense_norm,
@@ -112,15 +111,16 @@ def test_paraproduct_placement_explicit_atom_matrix(kind, shift):
     grid = Grid(5)
     rng = np.random.default_rng(20)
     symbol = rng.normal(size=grid.haar_size)
-    expected = explicit_paraproduct_matrix(grid, symbol, kind, shift)
-    op = Paraproduct(grid, symbol, kind, shift=shift)
-    assert np.abs(materialize(op) - expected).max() < 1e-12
-    basis = np.eye(grid.leaf_count)
-    adjoint = np.column_stack(
-        [op.adjoint_apply(LeafFunction(grid, e)).values for e in basis]
-    )
-    assert np.abs(adjoint - expected.T).max() < 1e-12
-    assert op.annihilates_constants == (kind[1] == "0")
+    for outer in (None, rng.normal(size=grid.haar_size)):
+        expected = explicit_paraproduct_matrix(grid, symbol, kind, shift, outer)
+        op = Paraproduct(grid, symbol, kind, shift=shift, outer=outer)
+        assert np.abs(materialize(op) - expected).max() < 1e-12
+        basis = np.eye(grid.leaf_count)
+        adjoint = np.column_stack(
+            [op.adjoint_apply(LeafFunction(grid, e)).values for e in basis]
+        )
+        assert np.abs(adjoint - expected.T).max() < 1e-12
+        assert op.annihilates_constants == (kind[1] == "0")
 
 
 class _Adjoint(DyadicOperator):
@@ -336,10 +336,9 @@ def test_adjoint_consistency_all_operators():
         for k in ("01", "10", "00", "11")
     ]
     ops += [HaarShift(grid, k) for k in SHIFT_KINDS]
-    pieces = resolution_pieces(w, "half")
-    ops += list(pieces.values())
+    for kind in SHIFT_KINDS:
+        ops += list(resolution_pieces(w, kind).values())
     ops.append(conjugated_shift(w, "half"))
-    ops += list(composed_identity_forms(w).values())
     for op in ops:
         for _ in range(20):
             f, g = _rand(grid, rng), _rand(grid, rng)
@@ -372,33 +371,43 @@ def test_mean_cross_pieces_vanish_for_mean_annihilating_shifts():
             assert np.abs(op.apply(f).values).max() < 1e-12
 
 
-# -- easy-term closed forms ----------------------------------------------------
+# -- fused terms ---------------------------------------------------------------
+
+CLOSABLE = ("Q_10_01", "Q_10_00", "Q_00_01", "Q_00_00")
 
 
 def test_closed_forms_match_compositions():
+    # the fused terms run the literal composition's arithmetic: bit-equal
     grid = Grid(6)
-    rng = np.random.default_rng(14)
     w = _cascade(grid, 0.45, 7)
-    pieces = resolution_pieces(w, "half")
-    forms = composed_identity_forms(w)
-    for label, form in forms.items():
-        composed = pieces[label]
-        for _ in range(50):
-            f = _rand(grid, rng)
-            assert np.abs(form.apply(f).values - composed.apply(f).values).max() < 1e-11
-            assert (
-                np.abs(
-                    form.adjoint_apply(f).values - composed.adjoint_apply(f).values
-                ).max()
-                < 1e-11
+
+    def symbol(func, kind):
+        return func.symbol.coeff if kind in ("01", "10") else func.averages.haar_part
+
+    for shift in SHIFT_KINDS:
+        pieces = resolution_pieces(w, shift)
+        for label in Q_LABELS:
+            _, lk, rk = label.split("_")
+            literal = Composition(
+                [
+                    Paraproduct(grid, symbol(w.w_half, lk), lk),
+                    HaarShift(grid, shift),
+                    Paraproduct(grid, symbol(w.w_inv_half, rk), rk),
+                ]
             )
+            op, case = pieces[label], (shift, label)
+            assert isinstance(op, Paraproduct) == (label in CLOSABLE), case
+            assert np.array_equal(materialize(op), materialize(literal)), case
+            assert np.array_equal(
+                materialize(_Adjoint(op)), materialize(_Adjoint(literal))
+            ), case
 
 
 def test_flat_weight_easy4_form_is_half_shift_below_truncation():
     grid = Grid(5)
     rng = np.random.default_rng(15)
     w = make_weight(WeightSpec("constant", c=1.0), grid)
-    form = composed_identity_forms(w)["Q_00_00"]
+    form = resolution_pieces(w, "half")["Q_00_00"]
     shift = HaarShift(grid, "half")
     for _ in range(10):
         f = _rand(grid, rng)
@@ -406,19 +415,25 @@ def test_flat_weight_easy4_form_is_half_shift_below_truncation():
 
 
 def test_easy4_norm_is_sup_of_coefficients():
-    # the form maps the orthonormal family h_I to the disjoint family
-    # h_{I-}, so the norm is the largest coefficient magnitude; the outer
-    # factor's average is evaluated at the shifted interval I-
+    # Q_00_00 maps the orthonormal h_I to mutually orthogonal images
+    # (b_I a_I h_I, b_I a_{I-} h_{I-}, or b_I (a_{I-} h_{I-} - a_{I+} h_{I+})),
+    # so its norm is the largest image norm; a = <w^{1/2}>, b = <w^{-1/2}>
     grid = Grid(6)
     w = _cascade(grid, 0.5, 8)
-    avg_half = w.w_half.averages
-    avg_inv = w.w_inv_half.averages
-    best = 0.0
-    for idx in grid.haar_indices():
-        if idx.level <= grid.depth - 2:
-            best = max(best, abs(avg_half[idx.left] * avg_inv[idx]))
-    got = dense_norm(composed_identity_forms(w)["Q_00_00"])
-    assert got == pytest.approx(best, rel=1e-9)
+    a = w.w_half.averages
+    b = w.w_inv_half.averages
+    for shift in SHIFT_KINDS:
+        best = 0.0
+        for idx in grid.haar_indices():
+            if shift == "identity":
+                best = max(best, abs(a[idx] * b[idx]))
+            elif idx.level <= grid.depth - 2:
+                image = abs(a[idx.left])
+                if shift == "full":
+                    image = math.hypot(a[idx.left], a[idx.right])
+                best = max(best, abs(b[idx]) * image)
+        got = dense_norm(resolution_pieces(w, shift)["Q_00_00"])
+        assert got == pytest.approx(best, rel=1e-12), shift
 
 
 def test_easy1_rank_sum_oracle():
