@@ -6,7 +6,8 @@ Core layers:
 - weights: A2 weight families, characteristic, disbalanced Haar data
 - operators: paraproducts, multipliers, Haar shifts, weighted resolution
 - norms: matrix-free power-iteration norms plus a dense LAPACK oracle
-- estimates: square functions, Carleson embedding, corona, inequality battery
+- estimates: square functions, Carleson embedding, corona, inequality battery,
+  the shifted averaging kernel and its closed form
 - cli: verification suite, norm sweeps, reports
 """
 
@@ -49,7 +50,6 @@ from .operators import (
     conjugated_shift,
     multiplier_pieces,
     resolution_pieces,
-    shift_kernel_table,
 )
 from .norms import (
     ConvergenceError,
@@ -74,10 +74,12 @@ from .estimates import (
     disjoint_block_norm,
     ell_inf_norm,
     inequality_battery,
-    nested_kernel_value,
-    s_coefficient,
+    nested_kernel_pairs,
+    s_coefficients,
     s_pi,
     s_pi_sharp_ratio,
+    shift_kernel_errors,
+    shift_kernel_table,
     square_function,
     weighted_square_norm_sq,
 )

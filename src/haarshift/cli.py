@@ -23,18 +23,13 @@ from .estimates import (
     corona,
     corona_members,
     inequality_battery,
-    nested_kernel_value,
-    s_coefficient,
+    nested_kernel_pairs,
+    shift_kernel_errors,
+    shift_kernel_table,
 )
 from .grid import DyadicIndex, Grid
 from .norms import operator_norm
-from .operators import (
-    Q_LABELS,
-    SHIFT_KINDS,
-    conjugated_shift,
-    resolution_pieces,
-    shift_kernel_table,
-)
+from .operators import Q_LABELS, SHIFT_KINDS, conjugated_shift, resolution_pieces
 from .verify import run_verification
 from .weights import WeightSpec, a2_characteristic, make_weight
 
@@ -48,6 +43,9 @@ MAX_KERNEL_DEPTH = 7
 FIT_MIN_A2 = 1.01
 FIT_MIN_NORM = 1e-10
 FIT_MIN_POINTS = 3
+# the WeightSpec field a sweep varies, per weight family; the seed is read
+# by cascade weights only
+SWEEP_PARAM = {"constant": "c", "power": "alpha", "cascade": "eps", "step": "a"}
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,7 @@ def _fmt(x: float) -> str:
 
 
 def _spec_for(family: str, param: float, seed: int) -> WeightSpec:
-    if family == "power":
-        return WeightSpec("power", alpha=param)
-    if family == "constant":
-        return WeightSpec("constant", c=param)
-    if family == "cascade":
-        return WeightSpec("cascade", eps=param, seed=seed)
-    if family == "step":
-        return WeightSpec("step", a=param, b=1.0, split=0.5)
-    raise ValueError(f"unknown family {family!r}")
+    return WeightSpec(family, seed=seed, **{SWEEP_PARAM[family]: param})
 
 
 def compute_norm_rows(
@@ -143,11 +133,11 @@ def sweep_rows(
     """One norms block per parameter, computed in a process pool but emitted
     in deterministic (param, term) order."""
     jobs = [(family, p, depth, shift, tol, seed) for p in params]
-    if workers == 0 or len(jobs) == 1:
+    # the pool starts all max_workers processes at the first submit
+    size = min(workers or os.cpu_count() or 1, len(jobs))
+    if workers == 0 or size == 1:
         results = [_sweep_point(job) for job in jobs]
     else:
-        # the pool starts all max_workers processes at the first submit
-        size = min(workers or os.cpu_count() or 1, len(jobs))
         with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_sweep_point, jobs))
     rows, warnings = [], []
@@ -228,12 +218,7 @@ def cmd_verify(args) -> int:
 
 def cmd_norms(args) -> int:
     spec = WeightSpec.parse(args.weight)
-    param = {
-        "constant": spec.c,
-        "power": spec.alpha,
-        "cascade": spec.eps,
-        "step": spec.a,
-    }[spec.family]
+    param = getattr(spec, SWEEP_PARAM[spec.family])
     rows, warnings = compute_norm_rows(
         spec.family, param, spec, args.depth, args.shift, args.tol, args.seed
     )
@@ -326,26 +311,20 @@ def cmd_corona(args) -> int:
 def cmd_kernel(args) -> int:
     grid = Grid(args.depth)
     table = shift_kernel_table(grid, "half")
+    j, l, values = nested_kernel_pairs(grid)
+    closed = dict(zip(zip(j.tolist(), l.tolist()), values.tolist()))
     print("J(level,pos)  L(level,pos)  kernel  nested_closed_form")
-    worst = 0.0
     indices = list(grid.all_indices())
     for j_idx in indices:
         for l_idx in indices:
             value = table[l_idx.flat_offset, j_idx.flat_offset]
-            if j_idx.strictly_contains(l_idx):
-                closed = nested_kernel_value(grid, j_idx, l_idx)
-                worst = max(worst, abs(value - closed))
-                closed_text = _fmt(closed)
-            else:
-                closed_text = "-"
+            pair = (j_idx.flat_offset, l_idx.flat_offset)
+            closed_text = _fmt(closed[pair]) if pair in closed else "-"
             print(f"{j_idx}  {l_idx}  {_fmt(value)}  {closed_text}")
-    print(f"max |kernel - closed form| over nested pairs: {worst:.3e}")
-    bound_ok = all(
-        abs(s_coefficient(grid, j)) <= math.sqrt(2.0) / j.length + 1e-12
-        for j in indices
-    )
-    print(f"ancestor-sum bound sqrt(2)/|J|: {'PASS' if bound_ok else 'FAIL'}")
-    return 0 if worst < 1e-10 and bound_ok else 1
+    error, excess = shift_kernel_errors(grid, table)
+    print(f"max |kernel - closed form| over nested pairs: {error:.3e}")
+    print(f"ancestor-sum bound sqrt(2)/|J|: {'PASS' if excess == 0.0 else 'FAIL'}")
+    return 0 if error < 1e-10 and excess == 0.0 else 1
 
 
 # --------------------------------------------------------------------------
@@ -396,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("sweep", help="norms across a weight family")
-    p.add_argument("--family", choices=("constant", "power", "cascade", "step"),
-                   required=True)
+    p.add_argument("--family", choices=tuple(SWEEP_PARAM), required=True)
     p.add_argument("--params", required=True, help="comma-separated parameter list")
     p.add_argument("--depth", type=_depth_arg(2, MAX_NORM_DEPTH), required=True)
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")

@@ -1,6 +1,7 @@
 """Square functions, sequence norms, Carleson embedding constants, the
-stopping-time corona construction, shift-kernel closed forms, and the
-battery of weighted Carleson-sum inequalities.
+stopping-time corona construction, the shifted averaging kernel with its
+nested-pair closed form and disjoint block, and the battery of weighted
+Carleson-sum inequalities.
 
 Empirical constants are exact maxima over the finite grid, never sampled.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -17,13 +19,14 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    delta_sign,
+    averages,
+    averaging_function,
     gather_left_child,
     subtree_sums,
     sum_interval_constants,
 )
-from .norms import ConvergenceError, power_iteration
-from .operators import Paraproduct, shift_kernel_table
+from .norms import DENSE_DEPTH_CAP, ConvergenceError, power_iteration
+from .operators import HaarShift, Paraproduct
 from .weights import Weight
 
 __all__ = [
@@ -34,8 +37,10 @@ __all__ = [
     "ell_inf_norm",
     "cm_norm",
     "carleson_embedding_constant",
-    "s_coefficient",
-    "nested_kernel_value",
+    "shift_kernel_table",
+    "s_coefficients",
+    "nested_kernel_pairs",
+    "shift_kernel_errors",
     "CoronaDecomposition",
     "corona",
     "corona_members",
@@ -155,40 +160,111 @@ def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float:
 
 
 # --------------------------------------------------------------------------
-# shift-kernel closed forms
+# the shifted averaging kernel: table, nested-pair closed form, disjoint block
 
 
-def s_coefficient(grid: Grid, J: DyadicIndex) -> float:
-    """Closed-form nested-pair kernel coefficient for the half shift:
-    a signed lacunary sum over the grid ancestors K whose left child
-    strictly contains J,
+def _kernel_block(grid: Grid, kind: str, size: int) -> np.ndarray:
+    """table[L, J] = <shift h_J^1, h_L^1> for J and L among the first size
+    flat offsets: one shift and one averaging sweep give a whole column."""
+    shift = HaarShift(grid, kind)
+    table = np.empty((size, size))
+    for j_idx in islice(grid.all_indices(), size):
+        shifted = shift.apply(averaging_function(grid, j_idx))
+        table[:, j_idx.flat_offset] = averages(shifted).tree[:size]
+    return table
+
+
+def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
+    """table[L, J] = <shift h_J^1, h_L^1> for every pair of intervals, rows
+    and columns at flat offsets over levels 0..depth.
+
+    Computed by expanding h_J^1 in the Haar-plus-mean basis, shifting, and
+    pairing (not by a closed formula), so it checks the closed forms below.
+    Covers nested, equal, and disjoint configurations.
+    """
+    return _kernel_block(grid, kind, grid.tree_size)
+
+
+def s_coefficients(grid: Grid) -> np.ndarray:
+    """Half-shift nested-pair coefficient s(J) at every flat offset: the
+    signed lacunary sum over the grid ancestors K whose left child strictly
+    contains J,
 
         sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|.
 
-    The sign records which half of K_left the interval J sits in; it is +1
-    along the leftmost chain, where the sum reduces to sqrt(2)/|pi J| terms.
+    One downward sweep: J takes its parent's sum and, when the parent is a
+    left child, adds delta(J, pi J) / |pi pi J| = +-2^{level - 2} (+ at
+    positions 0 mod 4, - at 1 mod 4).  Terms are added root first.
     """
-    total = 0.0
-    for anc in J.ancestors():
-        if anc.is_left_child:
-            # anc = K_left for K = anc.parent; 1/|K| = 2^{level(anc) - 1}
-            total += delta_sign(J, anc) * 2.0 ** (anc.level - 1)
+    total = np.zeros(grid.tree_size)
+    for lev in range(2, grid.depth + 1):
+        step = 2.0 ** (lev - 2) * np.array([1.0, -1.0, 0.0, 0.0])
+        parents = np.repeat(total[grid.level_slice(lev - 1)], 2)
+        total[grid.level_slice(lev)] = parents + np.tile(step, 1 << (lev - 2))
     return math.sqrt(2.0) * total
 
 
-def nested_kernel_value(grid: Grid, J: DyadicIndex, L: DyadicIndex) -> float:
-    """Exact value of <half-shift h_J^1, h_L^1> for L strictly inside J.
+def nested_kernel_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat offsets (J, L) of every pair with L strictly inside J, and the
+    exact half-shift kernel <S h_J^1, h_L^1> on each.
 
-    Equals s_coefficient(J) plus, when J is itself a left child, the
-    boundary contribution of K = pi J whose shifted atom lands on J:
-    sqrt(2) * delta(L, J) / |pi J|.
+    The value is s(J) plus, when J is a left child, the boundary term of
+    K = pi J, whose shifted atom lands on J: sqrt(2) delta(L, J) / |pi J|.
     """
-    if not J.strictly_contains(L):
-        raise ValueError("nested kernel value requires L strictly inside J")
-    value = s_coefficient(grid, J)
-    if J.is_left_child:
-        value += math.sqrt(2.0) * delta_sign(L, J) * 2.0 ** (J.level - 1)
-    return value
+    s = s_coefficients(grid)
+    js, ls, values = [], [], []
+    for lev in range(grid.depth):
+        for sub in range(lev + 1, grid.depth + 1):
+            pos = np.arange(1 << sub)
+            j_pos = pos >> (sub - lev)
+            sign = 1.0 - 2.0 * ((pos >> (sub - lev - 1)) & 1)
+            boundary = math.sqrt(2.0) * sign * 2.0 ** (lev - 1)
+            j = (1 << lev) - 1 + j_pos
+            left_child = (lev >= 1) & (j_pos % 2 == 0)
+            js.append(j)
+            ls.append((1 << sub) - 1 + pos)
+            values.append(s[j] + np.where(left_child, boundary, 0.0))
+    return np.concatenate(js), np.concatenate(ls), np.concatenate(values)
+
+
+def shift_kernel_errors(grid: Grid, table: np.ndarray) -> tuple[float, float]:
+    """Check a half-shift kernel table against the nested-pair closed form:
+    the worst |table[L, J] - closed form| over nested pairs, and the worst
+    excess of |s(J)| over its bound sqrt(2)/|J| (0.0 when the bound holds
+    everywhere up to 1e-12)."""
+    j, l, closed = nested_kernel_pairs(grid)
+    error = float(np.abs(table[l, j] - closed).max())
+    magnitude = np.abs(s_coefficients(grid))
+    bound = math.sqrt(2.0) * grid.tree_inv_lengths
+    excess = (magnitude - bound)[magnitude > bound + 1e-12]
+    return error, float(excess.max(initial=0.0))
+
+
+def disjoint_block_matrix(w: Weight) -> np.ndarray:
+    """Matrix A[L, J] = what(L) <S h_J^1, h_L^1> winvhat(J) over disjoint
+    Haar pairs (half shift), acting on Haar coefficient vectors."""
+    grid = w.grid
+    size = grid.haar_size
+    kernel = _kernel_block(grid, "half", size)
+    # disjoint: neither equal nor nested
+    disjoint = ~np.eye(size, dtype=bool)
+    j, l, _ = nested_kernel_pairs(grid)
+    j, l = j[l < size], l[l < size]
+    disjoint[j, l] = disjoint[l, j] = False
+    hat_half = w.w_half.symbol.coeff
+    hat_inv_half = w.w_inv_half.symbol.coeff
+    return np.where(
+        disjoint, hat_half[:, None] * kernel * hat_inv_half[None, :], 0.0
+    )
+
+
+def disjoint_block_norm(w: Weight) -> float:
+    """Operator norm of the disjoint-support block: the top singular value
+    of its matrix (the Haar basis is orthonormal).  Dense only, as no fast
+    apply exists for this kernel; capped at the dense-oracle depth."""
+    if w.grid.depth > DENSE_DEPTH_CAP:
+        raise ValueError(f"disjoint block norm capped at depth {DENSE_DEPTH_CAP}")
+    return float(np.linalg.svd(disjoint_block_matrix(w), compute_uv=False)[0])
 
 
 # --------------------------------------------------------------------------
@@ -412,48 +488,3 @@ def inequality_battery(w: Weight) -> InequalityReport:
             )
         )
     return InequalityReport(tuple(rows))
-
-
-# --------------------------------------------------------------------------
-# disjoint-support block of the shifted averaging kernel
-
-
-def _haar_index_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    levels = np.concatenate(
-        [np.full(1 << lev, lev, dtype=np.int64) for lev in range(grid.depth)]
-    )
-    positions = np.concatenate(
-        [np.arange(1 << lev, dtype=np.int64) for lev in range(grid.depth)]
-    )
-    return levels, positions
-
-
-def _disjoint_mask(grid: Grid) -> np.ndarray:
-    """mask[i, j] true when Haar intervals i and j are disjoint."""
-    lev, pos = _haar_index_arrays(grid)
-    li, lj = lev[:, None], lev[None, :]
-    pi, pj = pos[:, None], pos[None, :]
-    i_contains_j = (lj >= li) & ((pj >> np.maximum(lj - li, 0)) == pi)
-    j_contains_i = (li >= lj) & ((pi >> np.maximum(li - lj, 0)) == pj)
-    return ~(i_contains_j | j_contains_i)
-
-
-def disjoint_block_matrix(w: Weight) -> np.ndarray:
-    """Matrix A[L, J] = what(L) <S h_J^1, h_L^1> winvhat(J) over disjoint
-    Haar pairs (half shift), acting on Haar coefficient vectors."""
-    grid = w.grid
-    kernel = shift_kernel_table(grid, "half")[: grid.haar_size, : grid.haar_size]
-    hat_half = w.w_half.symbol.coeff
-    hat_inv_half = w.w_inv_half.symbol.coeff
-    return np.where(
-        _disjoint_mask(grid), hat_half[:, None] * kernel * hat_inv_half[None, :], 0.0
-    )
-
-
-def disjoint_block_norm(w: Weight) -> float:
-    """Operator norm of the disjoint-support block: the top singular value
-    of its matrix (the Haar basis is orthonormal).  Dense only, as no fast
-    apply exists for this kernel; capped at depth 10."""
-    if w.grid.depth > 10:
-        raise ValueError("disjoint block norm capped at depth 10")
-    return float(np.linalg.svd(disjoint_block_matrix(w), compute_uv=False)[0])

@@ -23,8 +23,6 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    averages,
-    averaging_function,
     gather_left_child,
 )
 from .weights import Weight
@@ -43,7 +41,6 @@ __all__ = [
     "multiplier_pieces",
     "resolution_pieces",
     "conjugated_shift",
-    "shift_kernel_table",
 ]
 
 PARAPRODUCT_KINDS = ("01", "10", "00", "11")
@@ -306,19 +303,3 @@ def conjugated_shift(w: Weight, shift: str) -> Composition:
         label="M_conj",
     )
 
-
-def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
-    """table[L, J] = <shift h_J^1, h_L^1> for every pair of intervals, rows
-    and columns at flat offsets over levels 0..depth.
-
-    Computed by expanding h_J^1 in the Haar-plus-mean basis, shifting, and
-    pairing (not by a closed formula): pairing with h_L^1 is the average
-    over L, so one shift and one averaging sweep give a whole column.
-    Covers nested, equal, and disjoint configurations.
-    """
-    shift = HaarShift(grid, kind)
-    table = np.empty((grid.tree_size, grid.tree_size))
-    for j_idx in grid.all_indices():
-        shifted = shift.apply(averaging_function(grid, j_idx))
-        table[:, j_idx.flat_offset] = averages(shifted).tree
-    return table

@@ -16,8 +16,8 @@ from .estimates import (
     carleson_embedding_constant,
     cm_norm,
     ell_inf_norm,
-    nested_kernel_value,
-    s_coefficient,
+    shift_kernel_errors,
+    shift_kernel_table,
 )
 from .grid import (
     DyadicIndex,
@@ -39,7 +39,6 @@ from .operators import (
     conjugated_shift,
     multiplier_pieces,
     resolution_pieces,
-    shift_kernel_table,
 )
 from .weights import Weight, WeightSpec, disbalanced_data, make_weight
 
@@ -190,24 +189,15 @@ def _check_norm_engine_agreement(rng, seed: int, tol: float) -> float:
 
 
 def _check_shift_kernel(grid: Grid) -> float:
-    """Nested pairs against the exact closed form, plus the pinned disjoint
-    and brother-pair values, read from the half-shift kernel table."""
+    """Nested pairs against the exact closed form and the bound on s(J),
+    plus the pinned disjoint and brother-pair values, read from the
+    half-shift kernel table."""
     table = shift_kernel_table(grid, "half")
 
     def kernel(j_idx: DyadicIndex, l_idx: DyadicIndex) -> float:
         return float(table[l_idx.flat_offset, j_idx.flat_offset])
 
-    worst = 0.0
-    all_indices = list(grid.all_indices())
-    for j_idx in all_indices:
-        for l_idx in all_indices:
-            if j_idx.strictly_contains(l_idx):
-                expected = nested_kernel_value(grid, j_idx, l_idx)
-                worst = max(worst, abs(kernel(j_idx, l_idx) - expected))
-        # magnitude of the ancestor sum never exceeds sqrt(2)/|J|
-        bound = math.sqrt(2.0) / j_idx.length
-        if abs(s_coefficient(grid, j_idx)) > bound + 1e-12:
-            worst = max(worst, abs(s_coefficient(grid, j_idx)) - bound)
+    worst = max(shift_kernel_errors(grid, table))
     # the two level-1 brothers pair to zero
     brothers = [DyadicIndex(1, 0), DyadicIndex(1, 1)]
     for j_idx, l_idx in (brothers, brothers[::-1]):

@@ -1,8 +1,10 @@
 """Shared independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
-from haarshift import Weight, averaging_function, haar_function
+from haarshift import Weight, averaging_function, delta_sign, haar_function
 
 
 def dense_sharp_ratio(w: Weight) -> float:
@@ -64,3 +66,25 @@ def explicit_paraproduct_matrix(
         scale = 1.0 if symbol is None else symbol[i.flat_offset]
         expected += scale * np.outer(placed, read)
     return expected / grid.leaf_count
+
+
+def s_coefficient_walk(J) -> float:
+    """Half-shift s(J) by walking the ancestors of J, root first:
+
+        sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|.
+    """
+    total = 0.0
+    for anc in J.ancestors():
+        if anc.is_left_child:
+            # anc = K_left for K = anc.parent; 1/|K| = 2^{level(anc) - 1}
+            total += delta_sign(J, anc) * 2.0 ** (anc.level - 1)
+    return math.sqrt(2.0) * total
+
+
+def nested_kernel_walk(J, L) -> float:
+    """<half-shift h_J^1, h_L^1> for L strictly inside J: s(J) plus, when J
+    is a left child, the boundary term sqrt(2) delta(L, J) / |pi J|."""
+    value = s_coefficient_walk(J)
+    if J.is_left_child:
+        value += math.sqrt(2.0) * delta_sign(L, J) * 2.0 ** (J.level - 1)
+    return value

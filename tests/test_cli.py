@@ -275,9 +275,14 @@ def test_sweep_pool_never_larger_than_job_count(monkeypatch):
     monkeypatch.setattr(_SerialPool, "sizes", [])
     params = [0.3, 0.5, 0.7]
     serial = sweep_rows("power", params, 3, "half", 1e-9, 1, workers=0)
-    for workers in (64, 2, None):
+    for workers in (64, 2, None, 1):
         assert sweep_rows("power", params, 3, "half", 1e-9, 1, workers) == serial
-    assert _SerialPool.sizes == [3, 2, min(os.cpu_count() or 1, 3)]
+    # a pool of one runs in-process: --workers 1, or unset on a 1-CPU host
+    default = min(os.cpu_count() or 1, 3)
+    assert _SerialPool.sizes == [3, 2] + ([default] if default > 1 else [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert sweep_rows("power", params, 3, "half", 1e-9, 1, None) == serial
+    assert _SerialPool.sizes == [3, 2] + ([default] if default > 1 else [])
 
 
 def test_sweep_depth_stability_reports(tmp_path):

@@ -412,6 +412,19 @@ def test_disjoint_block_matrix_matches_entrywise_kernel():
             assert mat[l_pos, j_pos] == pytest.approx(expected, abs=1e-12)
 
 
+def test_disjoint_block_mask_matches_brute_force_containment(monkeypatch):
+    # with a kernel of ones the block is the mask times nonzero coefficients
+    monkeypatch.setattr(
+        "haarshift.estimates._kernel_block", lambda grid, kind, n: np.ones((n, n))
+    )
+    w = _cascade(Grid(5), 0.4, 3)
+    assert np.all(w.w_half.symbol.coeff != 0)
+    assert np.all(w.w_inv_half.symbol.coeff != 0)
+    indices = list(w.grid.haar_indices())
+    disjoint = [[not (l.contains(j) or j.contains(l)) for j in indices] for l in indices]
+    assert np.array_equal(disjoint_block_matrix(w) != 0, np.array(disjoint))
+
+
 def test_disjoint_block_norm_matches_dense_oracle():
     grid = Grid(6)
     w = make_weight(WeightSpec("power", alpha=0.5), grid)

@@ -31,13 +31,13 @@ from haarshift import (
     make_weight,
     materialize,
     multiplier_pieces,
-    nested_kernel_value,
+    nested_kernel_pairs,
     resolution_pieces,
-    s_coefficient,
+    s_coefficients,
     shift_kernel_table,
     synthesize,
 )
-from oracles import explicit_paraproduct_matrix
+from oracles import explicit_paraproduct_matrix, nested_kernel_walk, s_coefficient_walk
 
 
 def _rand(grid, rng):
@@ -483,12 +483,8 @@ def test_kernel_nested_pairs_match_closed_form():
     for depth in (4, 5, 6):
         grid = Grid(depth)
         table = shift_kernel_table(grid, "half")
-        for j in grid.all_indices():
-            for l in grid.all_indices():
-                if j.strictly_contains(l):
-                    got = table[l.flat_offset, j.flat_offset]
-                    expected = nested_kernel_value(grid, j, l)
-                    assert abs(got - expected) < 1e-12
+        j, l, closed = nested_kernel_pairs(grid)
+        assert np.abs(table[l, j] - closed).max() < 1e-12
 
 
 def test_kernel_constant_in_l_for_right_children_and_root():
@@ -496,28 +492,53 @@ def test_kernel_constant_in_l_for_right_children_and_root():
     # depends on J alone and equals the signed ancestor sum
     grid = Grid(5)
     table = shift_kernel_table(grid, "half")
+    s = s_coefficients(grid)
     for j in grid.all_indices():
         if j.is_left_child:
             continue
         for l in grid.all_indices():
             if j.strictly_contains(l):
                 assert table[l.flat_offset, j.flat_offset] == pytest.approx(
-                    s_coefficient(grid, j), abs=1e-12
+                    s[j.flat_offset], abs=1e-12
                 )
 
 
 def test_s_coefficient_examples():
-    grid = Grid(5)
+    s = s_coefficients(Grid(5))
     # level-1 intervals: no grid ancestor has a left child strictly above them
-    assert s_coefficient(grid, DyadicIndex(1, 0)) == 0.0
-    assert s_coefficient(grid, DyadicIndex(1, 1)) == 0.0
+    assert s[DyadicIndex(1, 0).flat_offset] == 0.0
+    assert s[DyadicIndex(1, 1).flat_offset] == 0.0
     # J = [0, 1/4): single ancestor term from K = [0,1)
-    assert s_coefficient(grid, DyadicIndex(2, 0)) == pytest.approx(
+    assert s[DyadicIndex(2, 0).flat_offset] == pytest.approx(
         math.sqrt(2.0), abs=1e-15
     )
 
 
 def test_s_coefficient_bound():
     grid = Grid(10)
+    s = s_coefficients(grid)
     for j in grid.all_indices():
-        assert abs(s_coefficient(grid, j)) <= math.sqrt(2.0) / j.length + 1e-12
+        assert abs(s[j.flat_offset]) <= math.sqrt(2.0) / j.length + 1e-12
+
+
+def test_s_coefficients_equal_ancestor_walk_bit_for_bit():
+    for depth in range(1, 11):
+        grid = Grid(depth)
+        walk = np.array([s_coefficient_walk(j) for j in grid.all_indices()])
+        assert s_coefficients(grid).tobytes() == walk.tobytes()
+
+
+def test_nested_kernel_pairs_equal_ancestor_walk_bit_for_bit():
+    for depth in range(1, 9):
+        grid = Grid(depth)
+        j, l, values = nested_kernel_pairs(grid)
+        got = dict(zip(zip(j.tolist(), l.tolist()), values.tolist()))
+        assert len(got) == len(j)
+        indices = list(grid.all_indices())
+        expected = {
+            (jj.flat_offset, ll.flat_offset): nested_kernel_walk(jj, ll)
+            for jj in indices
+            for ll in indices
+            if jj.strictly_contains(ll)
+        }
+        assert got == expected
