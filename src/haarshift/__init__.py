@@ -5,7 +5,8 @@ Core layers:
 - grid: dyadic intervals on [0,1), Haar analysis/synthesis, exact averages
 - weights: A2 weight families, characteristic, disbalanced Haar data
 - operators: paraproducts, multipliers, Haar shifts, weighted resolution
-- norms: matrix-free power-iteration norms plus a dense LAPACK oracle
+- norms: exact norms from operator structure, matrix-free Lanczos norms,
+  and a dense LAPACK oracle
 - estimates: square functions, Carleson embedding, corona, inequality battery,
   the shifted averaging kernel and its closed form
 - cli: verification suite, norm sweeps, reports
@@ -55,9 +56,10 @@ from .norms import (
     ConvergenceError,
     NormResult,
     dense_norm,
+    exact_norm,
+    lanczos_top,
     materialize,
     operator_norm,
-    power_iteration,
 )
 from .estimates import (
     BATTERY_A2_POWERS,

@@ -25,7 +25,7 @@ from .grid import (
     subtree_sums,
     sum_interval_constants,
 )
-from .norms import DENSE_DEPTH_CAP, ConvergenceError, power_iteration
+from .norms import DENSE_DEPTH_CAP, ConvergenceError, lanczos_top
 from .operators import HaarShift, Paraproduct
 from .weights import Weight
 
@@ -94,7 +94,7 @@ def s_pi_sharp_ratio(
     """Sharp constant  sup { <D phi, phi> / <M_w phi, phi> : phi mean-zero }
     where D sends h_I -> <w>_{pi I} h_I.
 
-    Computed by power iteration on the symmetrized generalized eigenproblem:
+    Computed by Lanczos on the symmetrized generalized eigenproblem:
     with u = w^{-1/2} and P the projection onto the complement of u, the
     constant is the top eigenvalue of  P (M_u D M_u) P.
     """
@@ -113,10 +113,10 @@ def s_pi_sharp_ratio(
 
     rng = np.random.default_rng(seed)
     x0 = project(rng.uniform(-1.0, 1.0, grid.leaf_count))
-    lam, _, residual, converged, _ = power_iteration(matvec, x0, tol, max_iter)
+    lam, _, residual, converged = lanczos_top(matvec, x0, tol, max_iter)
     if not converged:
         raise ConvergenceError(
-            "sharp-ratio power iteration did not converge", lam, residual
+            "sharp-ratio Lanczos did not meet its residual bound", lam, residual
         )
     return float(lam)
 

@@ -5,6 +5,24 @@ import math
 import numpy as np
 
 from haarshift import Weight, averaging_function, delta_sign, haar_function
+from haarshift.operators import DyadicOperator
+
+
+class OpaqueOperator(DyadicOperator):
+    """Delegates to another operator and hides its structure, as a tracing
+    proxy does."""
+
+    def __init__(self, inner):
+        super().__init__(inner.grid)
+        self.inner = inner
+        self.label = inner.label
+        self.annihilates_constants = inner.annihilates_constants
+
+    def apply(self, f):
+        return self.inner.apply(f)
+
+    def adjoint_apply(self, f):
+        return self.inner.adjoint_apply(f)
 
 
 def dense_sharp_ratio(w: Weight) -> float:

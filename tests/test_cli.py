@@ -252,6 +252,29 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_rows_identical_when_engine_operators_are_wrapped(monkeypatch):
+    # a tracing harness hands operator_norm delegating operators that hide
+    # their structure; the exact path is taken before that, so the rows do
+    # not change
+    from haarshift import cli
+    from haarshift.weights import WeightSpec
+    from oracles import OpaqueOperator
+
+    spec = WeightSpec("cascade", eps=0.5, seed=4)
+
+    def rows(shift):
+        found, _ = cli.compute_norm_rows("cascade", 0.5, spec, 8, shift, 1e-9, 1)
+        return [row.format() for row in found]
+
+    untraced = {shift: rows(shift) for shift in ("identity", "half", "full")}
+    engine = cli.operator_norm
+    monkeypatch.setattr(
+        cli, "operator_norm", lambda op, **kw: engine(OpaqueOperator(op), **kw)
+    )
+    for shift, expected in untraced.items():
+        assert rows(shift) == expected, shift
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size, starts no process."""
 

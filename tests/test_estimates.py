@@ -8,6 +8,7 @@ import pytest
 
 from haarshift import (
     BATTERY_ROW_LABELS,
+    ConvergenceError,
     DyadicIndex,
     Grid,
     HaarShift,
@@ -129,6 +130,12 @@ def test_sharp_ratio_matches_dense_eigen_oracle():
 def test_sharp_ratio_rejects_bad_tol():
     with pytest.raises(ValueError):
         s_pi_sharp_ratio(_cascade(Grid(4)), tol=0.0)
+
+
+def test_sharp_ratio_raises_when_bound_not_met():
+    with pytest.raises(ConvergenceError) as info:
+        s_pi_sharp_ratio(_cascade(Grid(6), 0.45, 7), tol=1e-15, max_iter=2)
+    assert info.value.estimate > 0 and info.value.residual > 1e-15
 
 
 # -- sequence norms ------------------------------------------------------------

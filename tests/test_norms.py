@@ -1,4 +1,8 @@
-"""Norm engine: power iteration against the dense oracle and numpy's SVD."""
+"""Norm engine: the exact path and Lanczos against the dense oracle and
+numpy's SVD."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +13,19 @@ from haarshift import (
     LeafFunction,
     Multiplier,
     Paraproduct,
+    conjugated_shift,
     dense_norm,
+    exact_norm,
+    lanczos_top,
     make_weight,
     materialize,
     operator_norm,
-    power_iteration,
     resolution_pieces,
+    s_pi_sharp_ratio,
     WeightSpec,
 )
-from haarshift.operators import Composition
+from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
+from oracles import OpaqueOperator
 
 
 class _ZeroOperator:
@@ -80,7 +88,7 @@ def test_half_shift_dense_norm_is_one():
     assert dense_norm(HaarShift(Grid(6), "half")) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_power_iteration_agrees_with_dense_on_random_compositions():
+def test_lanczos_agrees_with_dense_on_random_compositions():
     grid = Grid(6)
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -120,16 +128,21 @@ def test_norm_result_deterministic():
     assert third.value == pytest.approx(first.value, rel=1e-7)
 
 
-def test_rayleigh_quotients_monotone():
+def test_top_ritz_values_monotone():
+    # Cauchy interlacing: the top Ritz value of each larger Krylov space is
+    # at least the last one, and none exceeds the top eigenvalue
     grid = Grid(6)
     rng = np.random.default_rng(5)
     op = Paraproduct(grid, rng.normal(size=grid.haar_size), "01")
     mat = materialize(op)
     history = []
     x0 = rng.uniform(-1, 1, grid.leaf_count)
-    power_iteration(lambda x: mat.T @ (mat @ x), x0, 1e-12, 2000, history=history)
+    lanczos_top(lambda x: mat.T @ (mat @ x), x0, 1e-12, 2000, history=history)
+    assert len(history) > 5
     diffs = np.diff(np.array(history))
     assert diffs.min() >= -1e-14 * max(history)
+    top = float(np.linalg.eigvalsh(mat.T @ mat)[-1])
+    assert max(history) <= top * (1 + 1e-14)
 
 
 def test_estimate_below_true_norm():
@@ -166,19 +179,127 @@ def test_invalid_parameters():
         operator_norm(op, max_iter=0)
 
 
-def test_power_iteration_rejects_non_finite_tol():
-    x0 = np.ones(4)
+def test_lanczos_rejects_non_finite_tol():
+    op = _IdentityOperator(Grid(4))
+    w = make_weight(WeightSpec("cascade", eps=0.4, seed=2), Grid(4))
     for tol in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            power_iteration(lambda x: x, x0, tol, 10)
+            operator_norm(op, tol=tol)
+        with pytest.raises(ValueError):
+            s_pi_sharp_ratio(w, tol=tol)
+
+
+def test_lanczos_rejects_non_finite_coefficients():
+    # a matvec that overflows, or a zero start vector, must raise rather
+    # than hand the tridiagonal solver a NaN
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError):
+            lanczos_top(lambda x: x * np.inf, np.ones(4), 1e-9, 10)
+        with pytest.raises(ValueError):
+            lanczos_top(lambda x: x, np.zeros(4), 1e-9, 10)
 
 
 def test_nonconvergence_flagged():
     grid = Grid(6)
     rng = np.random.default_rng(7)
-    # two equal top singular values make the Rayleigh quotient crawl; with a
-    # one-iteration budget the result must be flagged, not raised
+    # a residual bound of 1e-15 is out of reach in two Lanczos steps; the
+    # result must be flagged, not raised
     op = Paraproduct(grid, rng.normal(size=grid.haar_size), "01")
     result = operator_norm(op, tol=1e-15, max_iter=2)
     assert not result.converged
     assert result.iterations == 2
+
+
+# -- the exact path -----------------------------------------------------------
+
+
+def test_exact_norm_of_00_placements_matches_lapack():
+    grid = Grid(6)
+    rng = np.random.default_rng(9)
+    for shift in SHIFT_KINDS:
+        for _ in range(3):
+            op = Paraproduct(
+                grid, rng.normal(size=grid.haar_size), "00", shift=shift,
+                outer=rng.normal(size=grid.haar_size),
+            )
+            assert exact_norm(op) == pytest.approx(dense_norm(op), rel=1e-13)
+    expected = {"identity": 1.0, "half": 1.0, "full": math.sqrt(2.0)}
+    for shift, value in expected.items():
+        shift_op = HaarShift(grid, shift)
+        assert exact_norm(shift_op) == value
+        assert dense_norm(shift_op) == pytest.approx(value, rel=1e-13)
+
+
+def test_exact_norm_mean_cross_is_zero():
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=3), Grid(6))
+    for shift in SHIFT_KINDS:
+        cross = resolution_pieces(w, shift)["mean_cross"]
+        assert exact_norm(cross) == 0.0
+        assert not materialize(cross).any()
+
+
+def test_exact_norm_declines_other_structure():
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=3), Grid(6))
+    for shift in SHIFT_KINDS:
+        pieces = resolution_pieces(w, shift)
+        for label in Q_LABELS:
+            if label != "Q_00_00":
+                assert exact_norm(pieces[label]) is None, (shift, label)
+        assert exact_norm(conjugated_shift(w, shift)) is None
+        assert exact_norm(OpaqueOperator(pieces["Q_00_00"])) is None
+        assert exact_norm(OpaqueOperator(pieces["mean_cross"])) is None
+
+
+# -- rows against LAPACK and the residual bound --------------------------------
+
+
+@pytest.mark.parametrize("depth", [6, 8, 10])
+def test_rows_match_lapack_within_their_bound(monkeypatch, depth):
+    from haarshift import cli
+
+    results = {}
+
+    def recording_norm(op, **kwargs):
+        results[op.label] = operator_norm(op, **kwargs)
+        return results[op.label]
+
+    monkeypatch.setattr(cli, "operator_norm", recording_norm)
+    grid = Grid(depth)
+    for spec in (WeightSpec("cascade", eps=0.6, seed=5), WeightSpec("power", alpha=0.5)):
+        w = make_weight(spec, grid)
+        param = getattr(spec, cli.SWEEP_PARAM[spec.family])
+        for shift in SHIFT_KINDS:
+            results.clear()
+            rows, warnings = cli.compute_norm_rows(
+                spec.family, param, spec, depth, shift, 1e-9, 1
+            )
+            assert warnings == []
+            ops = resolution_pieces(w, shift)
+            ops["M_conj"] = conjugated_shift(w, shift)
+            assert set(results) == set(cli.TERM_ORDER) - {"Q_00_00", "mean_cross"}
+            for row in rows:
+                dense = dense_norm(ops[row.term])
+                assert row.norm == pytest.approx(dense, rel=1e-9, abs=1e-300), row
+                if row.term in results:
+                    # Bauer-Fike: the top eigenvalue of T*T lies within the
+                    # Ritz residual bound of theta = value^2
+                    value_sq = row.norm**2
+                    residual = results[row.term].residual
+                    assert dense**2 <= value_sq * (1 + residual) + 1e-13 * value_sq, row
+
+
+def test_memory_holds_no_krylov_basis():
+    # three Lanczos vectors plus one matvec's temporaries: a stored basis of
+    # the 20-odd steps this takes would exceed the budget
+    grid = Grid(14)
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=5), grid)
+    op = resolution_pieces(w, "half")["Q_10_01"]
+    operator_norm(op, max_iter=2)  # warm the grid's lazy caches
+    tracemalloc.start()
+    try:
+        result = operator_norm(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations > 16
+    assert peak <= 16 * grid.leaf_count * 8
