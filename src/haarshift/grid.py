@@ -8,6 +8,12 @@ Levels 0..depth-1 carry Haar functions (both children exist); level depth is
 the leaf level.  The layout is a binary heap: offset i has its children at
 2i+1 and 2i+2, so on a Haar-indexed array levels 0..depth-2 are
 [:haar_size // 2], their left children [1::2] and right children [2::2].
+
+Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
+block is k functions side by side.  Every sweep slices axis 0 only, so a
+block runs through the same code as one function, each column with the
+arithmetic of a single-column call, and per-interval multipliers broadcast
+along the batch axis (as_column).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "subtree_sums",
     "sum_interval_constants",
     "gather_left_child",
+    "as_column",
     "count_operations",
 ]
 
@@ -216,48 +223,72 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_rows(arr: np.ndarray, rows: int, message: str) -> None:
+    """arr holds one entry per row, with at most a trailing batch axis."""
+    if arr.ndim not in (1, 2) or arr.shape[0] != rows:
+        raise ValueError(f"{message}, got {arr.shape}")
+
+
+def as_column(per_interval: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """per_interval (one entry per row of data) shaped to broadcast along
+    data's trailing batch axis, if it has one."""
+    return per_interval if data.ndim == 1 else per_interval[:, None]
+
+
+def _root_value(tree: np.ndarray):
+    """tree[0]: a float, or a read-only row of k for a block."""
+    return float(tree[0]) if tree.ndim == 1 else _read_only(tree[0])
+
+
 class LeafFunction:
-    """Real function piecewise constant on the leaves of a dyadic grid.
+    """Real function piecewise constant on the leaves of a dyadic grid, or a
+    block of k such functions held as the columns of (leaf_count, k) data.
 
     A LeafFunction is born from leaf values (the constructor), from a
     HaarSymbol (from_symbol) or from averaging-atom weights
     sum_I u_I h^1_I over Haar-bearing I (from_atoms).  values, symbol,
     averages and mean() are derived lazily from the birth form, cached, and
     read-only, so operators hand each other Haar data without a round trip
-    through leaf values.
+    through leaf values.  shape is the shape of values, known at birth.
     """
 
     grid: Grid
+    shape: tuple
 
     def __init__(self, grid: Grid, values: np.ndarray):
         vals = np.array(values, dtype=float)
-        if vals.shape != (grid.leaf_count,):
-            raise ValueError(f"expected {grid.leaf_count} leaf values, got {vals.shape}")
+        _check_rows(vals, grid.leaf_count, f"expected {grid.leaf_count} leaf values")
         vals.setflags(write=False)
-        self.__dict__.update(grid=grid, _born="values", values=vals)
+        self.__dict__.update(grid=grid, shape=vals.shape, _born="values", values=vals)
 
     @classmethod
-    def _born_as(cls, grid: Grid, born: str, **data) -> "LeafFunction":
+    def _born_as(cls, grid: Grid, born: str, data: np.ndarray, **form):
         f = cls.__new__(cls)
-        f.__dict__.update(grid=grid, _born=born, **data)
+        shape = (grid.leaf_count,) + data.shape[1:]
+        f.__dict__.update(grid=grid, shape=shape, _born=born, **form)
         return f
 
     @classmethod
     def from_symbol(cls, symbol: "HaarSymbol") -> "LeafFunction":
         """The function with these Haar coefficients and mean.  A writable
         coefficient array is copied, so the cached data cannot go stale."""
-        if symbol.coeff.flags.writeable:
-            symbol = HaarSymbol(symbol.grid, _read_only(symbol.coeff), symbol.mean)
-        return cls._born_as(symbol.grid, "symbol", symbol=symbol)
+        coeff = symbol.coeff
+        _check_rows(
+            coeff, symbol.grid.haar_size, "expected one coefficient per Haar interval"
+        )
+        if coeff.flags.writeable:
+            symbol = HaarSymbol(symbol.grid, _read_only(coeff), symbol.mean)
+        return cls._born_as(symbol.grid, "symbol", coeff, symbol=symbol)
 
     @classmethod
     def from_atoms(cls, grid: Grid, weights: np.ndarray) -> "LeafFunction":
         """sum_I weights_I h^1_I over Haar-bearing I (h^1_I = 1_I / |I|).
         A writable weight array is copied, as in from_symbol."""
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (grid.haar_size,):
-            raise ValueError("expected one weight per Haar-bearing interval")
-        return cls._born_as(grid, "atoms", _atoms=_read_only(weights))
+        _check_rows(
+            weights, grid.haar_size, "expected one weight per Haar-bearing interval"
+        )
+        return cls._born_as(grid, "atoms", weights, _atoms=_read_only(weights))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LeafFunction is immutable; cannot set {name!r}")
@@ -276,16 +307,22 @@ class LeafFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self)))
 
-    def mean(self) -> float:
+    def mean(self):
+        """The mean over [0,1): a float, or one per column for a block."""
         if self._born == "values":
-            return float(self.values.mean())
-        return float(self.symbol.mean)
+            # each column summed in a single vector's (pairwise) order, so
+            # a block's means equal its columns' bit for bit
+            mean = np.ascontiguousarray(self.values.T).mean(axis=-1)
+        else:
+            mean = self.symbol.mean
+        return float(mean) if len(self.shape) == 1 else mean
 
     @cached_property
     def values(self) -> np.ndarray:
         if self._born == "atoms":
-            consts = self._atoms * self.grid.haar_inv_lengths
-            _tally(self.grid.haar_size)
+            atoms = self._atoms
+            consts = atoms * as_column(self.grid.haar_inv_lengths, atoms)
+            _tally(consts.size)
             vals = sum_interval_constants(self.grid, consts)
             vals.setflags(write=False)
             return vals
@@ -304,10 +341,12 @@ class LeafFunction:
         # <h^1_I, h_J> = +-|J|^{-1/2} for I inside J-/J+, else 0
         grid = self.grid
         inside = subtree_sums(grid, self._atoms)
-        coeff = (inside[1::2] - inside[2::2]) * grid.haar_inv_sqrt_lengths
-        _tally(2 * grid.haar_size)
+        coeff = (inside[1::2] - inside[2::2]) * as_column(
+            grid.haar_inv_sqrt_lengths, inside
+        )
+        _tally(2 * coeff.size)
         coeff.setflags(write=False)
-        return HaarSymbol(grid, coeff, float(inside[0]))
+        return HaarSymbol(grid, coeff, _root_value(inside))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,11 +367,12 @@ class MultiscaleAverages:
 
 @dataclass(frozen=True, eq=False)
 class HaarSymbol:
-    """Haar coefficients over levels 0..depth-1 plus the global mean."""
+    """Haar coefficients over levels 0..depth-1 plus the global mean; for a
+    block, coeff is (haar_size, k) and mean an array of k."""
 
     grid: Grid
     coeff: np.ndarray  # level-contiguous, Haar-bearing levels only
-    mean: float
+    mean: float | np.ndarray
 
     def __getitem__(self, index: DyadicIndex) -> float:
         if index.level >= self.grid.depth:
@@ -347,20 +387,23 @@ class HaarSymbol:
 def _integral_tree(f: LeafFunction) -> np.ndarray:
     """Integral of f over every interval, computed by one upward sweep."""
     n = f.grid.depth
-    tree = np.empty(f.grid.tree_size)
-    tree[Grid.level_slice(n)] = f.values * (2.0**-n)
-    _tally(f.grid.leaf_count)
+    vals = f.values
+    tree = np.empty((f.grid.tree_size,) + vals.shape[1:])
+    tree[Grid.level_slice(n)] = vals * (2.0**-n)
+    _tally(vals.size)
     for lev in range(n - 1, -1, -1):
         child = tree[Grid.level_slice(lev + 1)]
-        np.add(child[0::2], child[1::2], out=tree[Grid.level_slice(lev)])
-        _tally(1 << lev)
+        level = tree[Grid.level_slice(lev)]
+        np.add(child[0::2], child[1::2], out=level)
+        _tally(level.size)
     return tree
 
 
 def averages(f: LeafFunction) -> MultiscaleAverages:
     """Averages of f over all dyadic intervals, one upward sweep."""
-    tree = _integral_tree(f) * f.grid.tree_inv_lengths
-    _tally(f.grid.tree_size)
+    ints = _integral_tree(f)
+    tree = ints * as_column(f.grid.tree_inv_lengths, ints)
+    _tally(tree.size)
     tree.setflags(write=False)
     return MultiscaleAverages(f.grid, tree)
 
@@ -368,18 +411,18 @@ def averages(f: LeafFunction) -> MultiscaleAverages:
 def analyze(f: LeafFunction) -> HaarSymbol:
     """Haar coefficients of f plus the mean, one upward sweep."""
     ints = _integral_tree(f)
-    coeff = (ints[1::2] - ints[2::2]) * f.grid.haar_inv_sqrt_lengths
-    _tally(2 * f.grid.haar_size)
+    coeff = (ints[1::2] - ints[2::2]) * as_column(f.grid.haar_inv_sqrt_lengths, ints)
+    _tally(2 * coeff.size)
     coeff.setflags(write=False)
-    return HaarSymbol(f.grid, coeff, float(ints[0]))
+    return HaarSymbol(f.grid, coeff, _root_value(ints))
 
 
 def _synthesis_tree(symbol: HaarSymbol) -> np.ndarray:
     """Averages over every interval from Haar data, one downward sweep:
     <f>_{I-} = <f>_I + coeff_I |I|^{-1/2}, <f>_{I+} = <f>_I - coeff_I |I|^{-1/2}."""
-    grid = symbol.grid
-    steps = symbol.coeff * grid.haar_inv_sqrt_lengths
-    tree = np.empty(grid.tree_size)
+    grid, coeff = symbol.grid, symbol.coeff
+    steps = coeff * as_column(grid.haar_inv_sqrt_lengths, coeff)
+    tree = np.empty((grid.tree_size,) + coeff.shape[1:])
     tree[0] = symbol.mean
     for lev in range(grid.depth):
         level = Grid.level_slice(lev)
@@ -387,7 +430,7 @@ def _synthesis_tree(symbol: HaarSymbol) -> np.ndarray:
         child = tree[Grid.level_slice(lev + 1)]
         np.add(parent, step, out=child[0::2])
         np.subtract(parent, step, out=child[1::2])
-        _tally(3 << lev)
+        _tally(3 * parent.size)
     tree.setflags(write=False)
     return tree
 
@@ -404,34 +447,36 @@ def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
     Returns a level-contiguous array over ALL levels 0..depth; leaf entries
     are 0 (a leaf contains no Haar-bearing interval).
     """
-    if haar_values.shape != (grid.haar_size,):
-        raise ValueError("expected one value per Haar-bearing interval")
-    out = np.zeros(grid.tree_size)
+    _check_rows(
+        haar_values, grid.haar_size, "expected one value per Haar-bearing interval"
+    )
+    out = np.zeros((grid.tree_size,) + haar_values.shape[1:])
     n = grid.depth
     out[Grid.level_slice(n - 1)] = haar_values[Grid.level_slice(n - 1)]
     for lev in range(n - 2, -1, -1):
         level = Grid.level_slice(lev)
         child = out[Grid.level_slice(lev + 1)]
-        np.add(haar_values[level], child[0::2], out=out[level])
-        out[level] += child[1::2]
-        _tally(2 << lev)
+        total = out[level]
+        np.add(haar_values[level], child[0::2], out=total)
+        total += child[1::2]
+        _tally(2 * total.size)
     return out
 
 
 def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray:
     """Leaf values of sum_I c_I 1_I over Haar-bearing I, one downward sweep."""
-    if haar_constants.shape != (grid.haar_size,):
-        raise ValueError("expected one constant per Haar-bearing interval")
+    rows = grid.haar_size
+    _check_rows(haar_constants, rows, "expected one constant per Haar-bearing interval")
     acc = haar_constants[Grid.level_slice(0)].copy()
     for lev in range(1, grid.depth):
-        acc = np.repeat(acc, 2) + haar_constants[Grid.level_slice(lev)]
-        _tally(1 << lev)
-    return np.repeat(acc, 2)
+        acc = np.repeat(acc, 2, axis=0) + haar_constants[Grid.level_slice(lev)]
+        _tally(acc.size)
+    return np.repeat(acc, 2, axis=0)
 
 
 def gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
     """out_I = value at I- for I at levels 0..depth-2, 0 at level depth-1."""
-    out = np.zeros(grid.haar_size)
+    out = np.zeros((grid.haar_size,) + haar_values.shape[1:])
     out[: grid.haar_size // 2] = haar_values[1::2]
     return out
 

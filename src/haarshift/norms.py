@@ -131,22 +131,52 @@ def _two_by_two_top(theta: float, alpha: float, coupling_sq: float) -> float:
     return theta + coupling_sq / (root - half_gap)
 
 
+def _pole_model_top(
+    theta: float, alpha: float, pole: float, x: float, p: float, dp: float
+) -> float | None:
+    """Root above theta of the model of the last pivot p of x I - T_k that
+    keeps the top pole pole / (x - theta) exactly and replaces the rest of
+    the pole sum by its tangent at x, fitted to p(x) and p'(x); None where
+    the fit gives the rest a sign it cannot have.  Like the 2x2 model (the
+    same with the rest dropped), it is a 2x2 top eigenvalue.  The rest is
+    convex, so the root is a lower bound when the pole weight is exact; it
+    is not when s_prev is off, so it only picks the next point."""
+    d = x - theta
+    if d <= 0.0:
+        return None
+    rest = x - alpha - pole / d - p
+    slope = 1.0 + pole / (d * d) - dp
+    if rest < 0.0 or slope > 0.0:
+        return None
+    scale = 1.0 - slope
+    offset = theta - alpha - rest + slope * d
+    return _two_by_two_top(theta, theta - offset / scale, pole / scale)
+
+
 def _top_eigenvalue(alphas: list, betas: list, theta_prev: float, s_prev: float):
     """Top eigenvalue of the k-step Lanczos tridiagonal T_k, given the top
     eigenvalue theta_prev of T_{k-1} and the last component s_prev of its
     unit eigenvector, as (x, pivots of x I - T_k) at a point x a few ulps
     above it.
 
-    On (theta_prev, inf) the last pivot p(x) of x I - T_k increases, and
-    its root there is the answer.  Keeping only the top pole of p gives
-    the 2x2 model with coupling beta s_prev, whose top eigenvalue bounds
-    the root from below; putting all the pole weight there gives coupling
-    beta and an upper bound.  Newton on p, safeguarded by bisection inside
-    that bracket, converges from below in a few O(k) sweeps.
+    On (theta_prev, inf) the last pivot p(x) of x I - T_k is increasing
+    and concave, and its root there is the answer.  Keeping only the top
+    pole of p gives the 2x2 model with coupling beta s_prev, whose top
+    eigenvalue is the first point; putting all the pole weight there gives
+    coupling beta and an upper bound.  By concavity the Newton step from
+    either side lands at or below the root: from above it closes the
+    bracket, from below it creeps up to the root and is nudged a few ulps
+    past it.  Where Newton from below is still far (early steps, where the
+    2x2 point can be 1e-2 short), the root of a pole model fitted at the
+    sweep point (_pole_model_top) is usually within rounding of the answer,
+    and the next point is just past it.  So two or three O(k) sweeps
+    usually do.  s_prev only picks points, never an end of the bracket,
+    and bisection inside the bracket is the safeguard.
     """
     beta, alpha = betas[-1], alphas[-1]
+    pole = (beta * s_prev) ** 2
     lo = theta_prev - 8.0 * math.ulp(theta_prev)
-    x = _two_by_two_top(theta_prev, alpha, (beta * s_prev) ** 2)
+    x = _two_by_two_top(theta_prev, alpha, pole)
     hi = _two_by_two_top(theta_prev, alpha, beta * beta)
     hi += 8.0 * (math.ulp(hi) + math.ulp(beta))
     found = None
@@ -156,26 +186,34 @@ def _top_eigenvalue(alphas: list, betas: list, theta_prev: float, s_prev: float)
         if above:
             hi, found = x, factors
         elif x >= hi:
-            # rounding put the upper bound below the root: widen it
-            lo, hi = hi, hi + 2.0 * (hi - lo)
+            # rounding put the upper bound below the root: widen it (the
+            # ulps keep it moving when a Newton step has closed lo on hi)
+            lo, hi = hi, hi + 2.0 * (hi - lo) + 8.0 * math.ulp(hi)
             x = hi
             continue
         else:
             lo = x
+        if factors is not None:
+            p, dp = factors[0][-1], factors[1]
+            step = x - p / dp
+            if above:
+                # concave p: the Newton step from above lands below the
+                # root, so it closes the bracket; if not, try just above it
+                lo = max(lo, min(step, hi))
+                step = lo + 4.0 * math.ulp(lo)
+            else:
+                model = _pole_model_top(theta_prev, alpha, pole, x, p, dp)
+                if model is not None and model > step + 4.0 * math.ulp(step):
+                    step = model + 4.0 * math.ulp(model)
+                # Newton from below creeps up to the root; step past it to
+                # close the bracket from above
+                step = max(step, lo + 4.0 * math.ulp(lo))
         if hi - lo <= 8.0 * math.ulp(hi):
             if found is not None:
                 return hi, found[0]
             x = hi
             continue
-        if factors is None:
-            x = 0.5 * (lo + hi)
-            continue
-        step = x - factors[0][-1] / factors[1]
-        if not above:
-            # Newton from below creeps up to the root; step past it to
-            # close the bracket from above
-            step = max(step, lo + 4.0 * math.ulp(lo))
-        x = step if lo < step < hi else 0.5 * (lo + hi)
+        x = step if factors is not None and step < hi else 0.5 * (lo + hi)
 
 
 def _last_component(betas: list, pivots: list) -> float:
@@ -288,19 +326,13 @@ def operator_norm(
 
 
 def materialize(op: DyadicOperator) -> np.ndarray:
-    """Dense matrix of an operator in the leaf-indicator basis.
+    """Dense matrix of an operator in the leaf-indicator basis: one apply to
+    the identity block, whose columns are the leaf indicators.
 
     The leaf basis is orthogonal with equal norms, so the L2 operator norm
     equals the spectral norm of this matrix.
     """
-    n_leaves = op.grid.leaf_count
-    mat = np.empty((n_leaves, n_leaves))
-    basis = np.zeros(n_leaves)
-    for j in range(n_leaves):
-        basis[j] = 1.0
-        mat[:, j] = op.apply(LeafFunction(op.grid, basis)).values
-        basis[j] = 0.0
-    return mat
+    return op.apply(LeafFunction(op.grid, np.eye(op.grid.leaf_count))).values
 
 
 def dense_norm(op: DyadicOperator) -> float:

@@ -9,6 +9,9 @@ A paraproduct returns its result in the Haar form it computed (a
 LeafFunction born from a symbol or from averaging-atom weights), so a
 composition passes Haar data from factor to factor and sweeps to leaf
 values only where something reads them.
+Operators apply to a block of functions (a LeafFunction with a trailing
+batch axis) in the same sweeps as to one, column by column bit-identical
+to single-column calls.
 Operators are immutable and stateless after construction: apply and
 adjoint_apply are pure and safe to call concurrently.
 """
@@ -23,6 +26,7 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
+    as_column,
     gather_left_child,
 )
 from .weights import Weight
@@ -125,34 +129,35 @@ class Paraproduct(DyadicOperator):
         # .averages without a sweep to leaf values and back
         weights.setflags(write=False)
         if atom == "0":
-            return LeafFunction.from_symbol(HaarSymbol(self.grid, weights, 0.0))
+            mean = 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
+            return LeafFunction.from_symbol(HaarSymbol(self.grid, weights, mean))
         return LeafFunction.from_atoms(self.grid, weights)
 
     def apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[1])
         if self.symbol is not None:
-            weights = self.symbol * weights
+            weights = as_column(self.symbol, weights) * weights
         if self.shift != "identity":
             src = weights[: self.grid.haar_size // 2]
-            weights = np.zeros(self.grid.haar_size)
+            weights = np.zeros((self.grid.haar_size,) + src.shape[1:])
             weights[1::2] = src
             if self.shift == "full":
                 weights[2::2] = -src
         if self.outer is not None:
-            weights = self.outer * weights
+            weights = as_column(self.outer, weights) * weights
         return self._emit(weights, self.kind[0])
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[0])
         if self.outer is not None:
-            weights = self.outer * weights
+            weights = as_column(self.outer, weights) * weights
         if self.shift != "identity":
             gathered = gather_left_child(self.grid, weights)
             if self.shift == "full":
                 gathered[: self.grid.haar_size // 2] -= weights[2::2]
             weights = gathered
         if self.symbol is not None:
-            weights = self.symbol * weights
+            weights = as_column(self.symbol, weights) * weights
         return self._emit(weights, self.kind[1])
 
 
@@ -166,7 +171,7 @@ class MeanCorrection(DyadicOperator):
         self.label = label
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        return LeafFunction.constant(self.grid, self.scalar * f.mean())
+        return LeafFunction(self.grid, np.broadcast_to(self.scalar * f.mean(), f.shape))
 
     adjoint_apply = apply
 
@@ -180,7 +185,8 @@ class Multiplier(DyadicOperator):
         self.label = label
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        return LeafFunction(self.grid, self.b.values * f.values)
+        b = self.b.values
+        return LeafFunction(self.grid, as_column(b, f.values) * f.values)
 
     adjoint_apply = apply
 
@@ -226,13 +232,13 @@ class OperatorSum(DyadicOperator):
         self.annihilates_constants = all(op.annihilates_constants for op in self.terms)
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        out = np.zeros(self.grid.leaf_count)
+        out = np.zeros(f.shape)
         for op in self.terms:
             out += op.apply(f).values
         return LeafFunction(self.grid, out)
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        out = np.zeros(self.grid.leaf_count)
+        out = np.zeros(f.shape)
         for op in self.terms:
             out += op.adjoint_apply(f).values
         return LeafFunction(self.grid, out)

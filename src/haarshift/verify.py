@@ -62,6 +62,16 @@ def _random_leaf(grid: Grid, rng: np.random.Generator) -> LeafFunction:
     return LeafFunction(grid, rng.uniform(-1.0, 1.0, grid.leaf_count))
 
 
+def _random_block(grid: Grid, rng: np.random.Generator, k: int) -> LeafFunction:
+    """k random leaf functions as columns, drawn as k _random_leaf calls."""
+    return LeafFunction(grid, rng.uniform(-1.0, 1.0, (k, grid.leaf_count)).T)
+
+
+def _column_inner(f: LeafFunction, g: LeafFunction) -> np.ndarray:
+    """L2([0,1)) inner products of matching columns of two blocks."""
+    return np.einsum("ij,ij->j", f.values, g.values) / f.grid.leaf_count
+
+
 def _check_orthonormality(grid: Grid) -> float:
     vectors = [LeafFunction.constant(grid, 1.0)]
     vectors += [haar_function(grid, idx) for idx in grid.haar_indices()]
@@ -110,13 +120,10 @@ def _check_multiplier_decomposition(grid: Grid, rng) -> float:
     b = _random_leaf(grid, rng)
     m_b = Multiplier(grid, b)
     pieces = multiplier_pieces(b)
-    worst = 0.0
-    for _ in range(20):
-        f = _random_leaf(grid, rng)
-        direct = m_b.apply(f).values
-        split = sum(p.apply(f).values for p in pieces.values())
-        worst = max(worst, float(np.abs(direct - split).max()))
-    return worst
+    f = _random_block(grid, rng, 20)
+    direct = m_b.apply(f).values
+    split = sum(p.apply(f).values for p in pieces.values())
+    return float(np.abs(direct - split).max())
 
 
 def _check_resolution_identity(grid: Grid, rng, seed: int) -> float:
@@ -125,11 +132,10 @@ def _check_resolution_identity(grid: Grid, rng, seed: int) -> float:
     for kind in SHIFT_KINDS:
         conj = conjugated_shift(w, kind)
         pieces = resolution_pieces(w, kind)
-        for _ in range(20):
-            f = _random_leaf(grid, rng)
-            direct = conj.apply(f).values
-            split = sum(op.apply(f).values for op in pieces.values())
-            worst = max(worst, float(np.abs(direct - split).max()))
+        f = _random_block(grid, rng, 20)
+        direct = conj.apply(f).values
+        split = sum(op.apply(f).values for op in pieces.values())
+        worst = max(worst, float(np.abs(direct - split).max()))
     return worst
 
 
@@ -151,11 +157,12 @@ def _operator_zoo(grid: Grid, rng, seed: int) -> list:
 def _check_adjoints(grid: Grid, rng, seed: int) -> float:
     worst = 0.0
     for op in _operator_zoo(grid, rng, seed):
-        for _ in range(20):
-            f, g = _random_leaf(grid, rng), _random_leaf(grid, rng)
-            lhs = op.apply(f).inner(g)
-            rhs = f.inner(op.adjoint_apply(g))
-            worst = max(worst, abs(lhs - rhs))
+        # twenty (f, g) pairs, drawn in the order of twenty single pairs
+        pairs = rng.uniform(-1.0, 1.0, (20, 2, grid.leaf_count))
+        f, g = (LeafFunction(grid, pairs[:, j].T) for j in (0, 1))
+        lhs = _column_inner(op.apply(f), g)
+        rhs = _column_inner(f, op.adjoint_apply(g))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
@@ -164,15 +171,11 @@ def _check_dense_oracle(rng, seed: int) -> float:
     worst = 0.0
     for op in _operator_zoo(grid, rng, seed):
         mat = materialize(op)
-        for _ in range(5):
-            f = _random_leaf(grid, rng)
-            worst = max(
-                worst, float(np.abs(op.apply(f).values - mat @ f.values).max())
-            )
-            worst = max(
-                worst,
-                float(np.abs(op.adjoint_apply(f).values - mat.T @ f.values).max()),
-            )
+        f = _random_block(grid, rng, 5)
+        worst = max(worst, float(np.abs(op.apply(f).values - mat @ f.values).max()))
+        worst = max(
+            worst, float(np.abs(op.adjoint_apply(f).values - mat.T @ f.values).max())
+        )
     return worst
 
 

@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 
-from haarshift import Weight, averaging_function, delta_sign, haar_function
+from haarshift import (
+    LeafFunction,
+    Weight,
+    averaging_function,
+    delta_sign,
+    haar_function,
+)
 from haarshift.operators import DyadicOperator
 
 
@@ -23,6 +29,19 @@ class OpaqueOperator(DyadicOperator):
 
     def adjoint_apply(self, f):
         return self.inner.adjoint_apply(f)
+
+
+def materialize_by_columns(op: DyadicOperator) -> np.ndarray:
+    """Dense matrix of an operator in the leaf-indicator basis, one apply
+    per leaf indicator."""
+    n_leaves = op.grid.leaf_count
+    mat = np.empty((n_leaves, n_leaves))
+    basis = np.zeros(n_leaves)
+    for j in range(n_leaves):
+        basis[j] = 1.0
+        mat[:, j] = op.apply(LeafFunction(op.grid, basis)).values
+        basis[j] = 0.0
+    return mat
 
 
 def dense_sharp_ratio(w: Weight) -> float:

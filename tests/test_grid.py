@@ -20,6 +20,7 @@ from haarshift import (
     haar_function,
     product_formula_coeff,
     subtree_sums,
+    sum_interval_constants,
     synthesize,
 )
 
@@ -351,3 +352,69 @@ def test_derived_arrays_read_only():
 def test_from_atoms_rejects_wrong_size():
     with pytest.raises(ValueError):
         LeafFunction.from_atoms(Grid(3), np.ones(8))
+
+
+# -- blocks: a trailing batch axis of k functions ----------------------------
+
+
+@pytest.mark.parametrize("depth", (1, 3, 8))
+def test_block_derivations_equal_column_derivations_bit_for_bit(depth):
+    grid = Grid(depth)
+    rng = np.random.default_rng(80 + depth)
+    k = 4
+    vals = rng.uniform(-1.0, 1.0, (grid.leaf_count, k))
+    coeff, mean = rng.normal(size=(grid.haar_size, k)), rng.normal(size=k)
+    atoms = rng.normal(size=(grid.haar_size, k))
+    births = [
+        (LeafFunction(grid, vals), lambda j: LeafFunction(grid, vals[:, j])),
+        (
+            LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean)),
+            lambda j: LeafFunction.from_symbol(HaarSymbol(grid, coeff[:, j], mean[j])),
+        ),
+        (
+            LeafFunction.from_atoms(grid, atoms),
+            lambda j: LeafFunction.from_atoms(grid, atoms[:, j]),
+        ),
+    ]
+    for block, column in births:
+        assert block.shape == (grid.leaf_count, k)
+        means = block.mean()
+        for j in range(k):
+            col = column(j)
+            assert col.shape == (grid.leaf_count,)
+            assert np.array_equal(block.values[:, j], col.values)
+            assert np.array_equal(block.symbol.coeff[:, j], col.symbol.coeff)
+            assert block.symbol.mean[j] == col.symbol.mean
+            assert np.array_equal(block.averages.tree[:, j], col.averages.tree)
+            assert means[j] == col.mean()
+            assert isinstance(col.mean(), float)
+
+
+def test_block_transforms_count_k_times_the_column_work():
+    grid = Grid(6)
+    rng = np.random.default_rng(90)
+    block = rng.uniform(-1.0, 1.0, (grid.leaf_count, 5))
+    counts = []
+    for vals in (block, block[:, 0]):
+        with count_operations() as ops:
+            synthesize(analyze(LeafFunction(grid, vals)))
+            averages(LeafFunction(grid, vals))
+            LeafFunction.from_atoms(grid, vals[: grid.haar_size]).symbol
+        counts.append(ops.total)
+    assert counts[0] == 5 * counts[1] > 0
+
+
+def test_block_shape_errors():
+    grid = Grid(3)
+    for bad in (np.zeros((8, 2, 2)), np.zeros((7, 2)), np.zeros((2, 8)), np.zeros(())):
+        with pytest.raises(ValueError):
+            LeafFunction(grid, bad)
+    for bad in (np.zeros((7, 2, 2)), np.zeros((8, 2)), np.zeros((2, 7))):
+        with pytest.raises(ValueError):
+            LeafFunction.from_atoms(grid, bad)
+        with pytest.raises(ValueError):
+            LeafFunction.from_symbol(HaarSymbol(grid, bad, 0.0))
+        with pytest.raises(ValueError):
+            subtree_sums(grid, bad)
+        with pytest.raises(ValueError):
+            sum_interval_constants(grid, bad)

@@ -36,7 +36,8 @@ class _ZeroOperator:
         self.grid = grid
 
     def apply(self, f):
-        return LeafFunction.constant(self.grid, 0.0)
+        # zeros of the input's shape: operators map a block to a block
+        return LeafFunction(self.grid, np.zeros(f.shape))
 
     adjoint_apply = apply
 
@@ -143,6 +144,68 @@ def test_top_ritz_values_monotone():
     assert diffs.min() >= -1e-14 * max(history)
     top = float(np.linalg.eigvalsh(mat.T @ mat)[-1])
     assert max(history) <= top * (1 + 1e-14)
+
+
+def test_top_ritz_value_takes_few_pivot_sweeps_per_step(monkeypatch):
+    # the Newton step from the first point above the top Ritz value closes
+    # the bracket, and a pole model jumps the early steps to within
+    # rounding; counted on the depth-14 contrast operators
+    from haarshift import norms
+
+    sweep_points = []
+    pivots = norms._pivots
+
+    def counting_pivots(*args):
+        sweep_points.append(args[-1])
+        return pivots(*args)
+
+    monkeypatch.setattr(norms, "_pivots", counting_pivots)
+    grid = Grid(14)
+    steps = 0
+    for eps in (0.15, 0.75):
+        w = make_weight(WeightSpec("cascade", eps=eps, seed=5), grid)
+        for shift in ("half", "full"):
+            ops = resolution_pieces(w, shift)
+            ops["M_conj"] = conjugated_shift(w, shift)
+            for op in ops.values():
+                if exact_norm(op) is None:
+                    result = operator_norm(op)
+                    assert result.converged
+                    steps += result.iterations
+    assert steps > 100
+    assert len(sweep_points) <= 3 * steps
+
+
+def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals():
+    # random, tiny-coupling, clustered and wide-range tridiagonals, fed the
+    # last component from the engine's own inverse iteration, which loses
+    # its accuracy once that component falls below rounding: the bracket
+    # must not rest on it
+    from haarshift import norms
+
+    rng = np.random.default_rng(0)
+    for trial in range(400):
+        k = int(rng.integers(2, 40))
+        kind = trial % 4
+        if kind == 0:
+            a, b = rng.uniform(0, 1, k), rng.uniform(0, 1, k - 1)
+        elif kind == 1:
+            a, b = rng.uniform(0, 1, k), 10.0 ** rng.uniform(-18, 0, k - 1)
+        elif kind == 2:
+            a = 1.0 + rng.normal(0, 1e-12, k)
+            b = 10.0 ** rng.uniform(-10, -3, k - 1)
+        else:
+            a, b = 10.0 ** rng.uniform(-8, 3, k), 10.0 ** rng.uniform(-8, 2, k - 1)
+        alphas, betas = [float(a[0])], []
+        theta, s = alphas[0], 1.0
+        for j in range(1, k):
+            alphas.append(float(a[j]))
+            betas.append(float(b[j - 1]))
+            theta, pivots = norms._top_eigenvalue(alphas, betas, theta, s)
+            s = norms._last_component(betas, pivots)
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            top = float(np.linalg.eigvalsh(tri)[-1])
+            assert abs(theta - top) <= 64 * math.ulp(top), (trial, j)
 
 
 def test_estimate_below_true_norm():

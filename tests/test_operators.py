@@ -37,7 +37,12 @@ from haarshift import (
     shift_kernel_table,
     synthesize,
 )
-from oracles import explicit_paraproduct_matrix, nested_kernel_walk, s_coefficient_walk
+from oracles import (
+    explicit_paraproduct_matrix,
+    materialize_by_columns,
+    nested_kernel_walk,
+    s_coefficient_walk,
+)
 
 
 def _rand(grid, rng):
@@ -154,6 +159,47 @@ def test_q_terms_match_product_of_explicit_atom_matrices(shift):
         op = pieces[label]
         assert np.abs(materialize(op) - expected).max() < 1e-12, label
         assert np.abs(materialize(_Adjoint(op)) - expected.T).max() < 1e-12, label
+
+
+def _every_resolution_operator(w):
+    for shift in SHIFT_KINDS:
+        ops = resolution_pieces(w, shift)
+        ops["M_conj"] = conjugated_shift(w, shift)
+        for label, op in ops.items():
+            yield (shift, label), op
+
+
+@pytest.mark.parametrize("depth", (3, 6, 8))
+def test_block_apply_equals_single_column_calls_bit_for_bit(depth):
+    # a (leaves x k) block runs through the same sweeps as one column
+    grid = Grid(depth)
+    rng = np.random.default_rng(110 + depth)
+    block = rng.uniform(-1.0, 1.0, (grid.leaf_count, 3))
+    for case, op in _every_resolution_operator(_cascade(grid)):
+        for apply in (op.apply, op.adjoint_apply):
+            out = apply(LeafFunction(grid, block)).values
+            assert out.shape == block.shape, case
+            for j in range(block.shape[1]):
+                single = apply(LeafFunction(grid, block[:, j])).values
+                assert np.array_equal(out[:, j], single), (case, apply.__name__, j)
+        for side in (op, _Adjoint(op)):
+            assert np.array_equal(materialize(side), materialize_by_columns(side)), case
+
+
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_block_matvec_counts_k_times_one_column(shift):
+    grid = Grid(8)
+    w = _cascade(grid)
+    block = np.random.default_rng(32).uniform(-1.0, 1.0, (grid.leaf_count, 5))
+    pieces = resolution_pieces(w, shift)
+    for label in Q_LABELS:
+        op = pieces[label]
+        counts = []
+        for vals in (block, block[:, 0]):
+            with count_operations() as ops:
+                op.adjoint_apply(op.apply(LeafFunction(grid, vals))).values
+            counts.append(ops.total)
+        assert counts[0] == 5 * counts[1] > 0, label
 
 
 @pytest.mark.parametrize("shift", SHIFT_KINDS)
