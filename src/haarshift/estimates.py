@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -25,7 +26,7 @@ from .grid import (
     subtree_sums,
     sum_interval_constants,
 )
-from .norms import DENSE_DEPTH_CAP, ConvergenceError, lanczos_top
+from .norms import DENSE_DEPTH_CAP, ConvergenceError, _top_singular_value, lanczos_top
 from .operators import HaarShift, Paraproduct
 from .weights import Weight
 
@@ -264,26 +265,53 @@ def disjoint_block_norm(w: Weight) -> float:
     apply exists for this kernel; capped at the dense-oracle depth."""
     if w.grid.depth > DENSE_DEPTH_CAP:
         raise ValueError(f"disjoint block norm capped at depth {DENSE_DEPTH_CAP}")
-    return float(np.linalg.svd(disjoint_block_matrix(w), compute_uv=False)[0])
+    return _top_singular_value(disjoint_block_matrix(w))
 
 
 # --------------------------------------------------------------------------
 # corona decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoronaDecomposition:
     """Stopping-time generations for a weight above a root interval.
 
-    generations[0] == [root]; each interval in generations[k+1] is a maximal
-    subinterval of its stopping parent whose average exceeds gamma times the
-    parent's average.
+    top[I] is the flat offset of the stopping interval whose corona holds I
+    (-1 outside the root's subtree).  generations[0] == (root,); each
+    interval in generations[k+1] is a maximal subinterval of its stopping
+    parent whose average exceeds gamma times the parent's average.
     """
 
     root: DyadicIndex
     gamma: float
-    generations: tuple[tuple[DyadicIndex, ...], ...]
-    stopping_parent: dict
+    top: np.ndarray
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stopping intervals below the root and their stopping parents."""
+        kids = np.flatnonzero(self.top == np.arange(self.top.size))[1:]  # root first
+        return kids, self.top[(kids - 1) // 2]
+
+    @cached_property
+    def generations(self) -> tuple[tuple[DyadicIndex, ...], ...]:
+        """Generation k+1: the stopping children of generation k, grouped in its
+        order, each group in flat order (a top-down scan's depth-first order)."""
+        kids, parents = self._edges
+        rank = np.full(self.top.size, -1)
+        generation, out = np.array([self.root.flat_offset]), []
+        while generation.size:
+            out.append(tuple(map(_index_from_offset, generation.tolist())))
+            rank[generation] = np.arange(generation.size)
+            inside = rank[parents] >= 0
+            order = np.lexsort((kids[inside], rank[parents[inside]]))
+            rank[generation] = -1
+            generation = kids[inside][order]
+        return tuple(out)
+
+    @cached_property
+    def stopping_parent(self) -> dict[DyadicIndex, DyadicIndex]:
+        kids, parents = (map(_index_from_offset, a.tolist()) for a in self._edges)
+        return dict(zip(kids, parents))
 
     def stopping_intervals(self) -> list[DyadicIndex]:
         return [q for gen in self.generations for q in gen]
@@ -308,61 +336,32 @@ class CoronaDecomposition:
 
 
 def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:
-    """Top-down stopping-time construction: descend from the root, starting
-    a new generation at every maximal interval whose average first exceeds
-    gamma times its stopping parent's average."""
+    """Top-down stopping-time construction in one downward sweep: below the
+    root, an interval keeps its parent's stopping interval T unless its
+    average exceeds gamma <w>_T, in which case it starts a new one."""
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"corona threshold gamma must be finite and > 1, got {gamma}")
-    grid = w.grid
-    avg = w.w.averages
-    generations: list[list[DyadicIndex]] = [[root]]
-    stopping_parent: dict[DyadicIndex, DyadicIndex] = {}
-
-    def scan(parent: DyadicIndex, generation: int) -> None:
-        """Find maximal stopping subintervals of `parent`."""
-        threshold = gamma * avg[parent]
-        stack = (
-            [parent.left, parent.right] if parent.level < grid.depth else []
-        )
-        found: list[DyadicIndex] = []
-        while stack:
-            node = stack.pop()
-            if avg[node] > threshold:
-                found.append(node)
-            elif node.level < grid.depth:
-                stack.extend([node.left, node.right])
-        for node in sorted(found):
-            while len(generations) <= generation:
-                generations.append([])
-            generations[generation].append(node)
-            stopping_parent[node] = parent
-            scan(node, generation + 1)
-
-    scan(root, 1)
-    return CoronaDecomposition(
-        root=root,
-        gamma=gamma,
-        generations=tuple(tuple(g) for g in generations),
-        stopping_parent=stopping_parent,
-    )
+    avg = w.w.averages.tree
+    top = np.full(w.grid.tree_size, -1)
+    top[root.flat_offset] = root.flat_offset
+    for level in range(root.level + 1, w.grid.depth + 1):
+        span = 1 << (level - root.level)
+        kids = np.arange(span) + ((1 << level) - 1 + root.position * span)
+        inherited = top[(kids - 1) // 2]
+        top[kids] = np.where(avg[kids] > gamma * avg[inherited], kids, inherited)
+    top.setflags(write=False)
+    return CoronaDecomposition(root=root, gamma=gamma, top=top)
 
 
 def corona_members(
     decomp: CoronaDecomposition, w: Weight, G: DyadicIndex
-) -> list[DyadicIndex]:
-    """Intervals of the corona of G: inside G but in no stopping child of G."""
-    grid = w.grid
-    stop_children = [q for q, p in decomp.stopping_parent.items() if p == G]
-    members = []
-    stack = [G]
-    while stack:
-        node = stack.pop()
-        if node != G and node in stop_children:
-            continue
-        members.append(node)
-        if node.level < grid.depth:
-            stack.extend([node.left, node.right])
-    return members
+) -> np.ndarray:
+    """Flat offsets, in flat order, of the corona of the stopping interval
+    G: inside G but in no stopping child of G."""
+    g = G.flat_offset
+    if not (g < decomp.top.size and decomp.top[g] == g):
+        raise ValueError(f"{G} is not a stopping interval of this decomposition")
+    return np.flatnonzero(decomp.top == g)
 
 
 def corona_sum(decomp: CoronaDecomposition, w: Weight) -> float:

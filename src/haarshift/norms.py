@@ -335,10 +335,15 @@ def materialize(op: DyadicOperator) -> np.ndarray:
     return op.apply(LeafFunction(op.grid, np.eye(op.grid.leaf_count))).values
 
 
+def _top_singular_value(mat: np.ndarray) -> float:
+    """Top singular value: the root of the top LAPACK eigenvalue of mat^T mat."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0))
+
+
 def dense_norm(op: DyadicOperator) -> float:
     """Oracle operator norm: the top singular value of the materialized
     matrix from LAPACK, sharing no code with the exact path or the Lanczos
     iteration it checks.  Capped at depth 10 (memory)."""
     if op.grid.depth > DENSE_DEPTH_CAP:
         raise ValueError(f"dense norm capped at depth {DENSE_DEPTH_CAP}")
-    return float(np.linalg.svd(materialize(op), compute_uv=False)[0])
+    return _top_singular_value(materialize(op))

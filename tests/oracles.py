@@ -125,3 +125,52 @@ def nested_kernel_walk(J, L) -> float:
     if J.is_left_child:
         value += math.sqrt(2.0) * delta_sign(L, J) * 2.0 ** (J.level - 1)
     return value
+
+
+def corona_by_scan(w: Weight, root, gamma: float):
+    """The stopping-time generations and stopping parents by a recursive
+    top-down scan: below each stopping interval, a stack walk finds the
+    maximal subintervals whose average exceeds gamma times its own."""
+    grid = w.grid
+    avg = w.w.averages
+    generations = [[root]]
+    stopping_parent = {}
+
+    def scan(parent, generation: int) -> None:
+        """Find maximal stopping subintervals of `parent`."""
+        threshold = gamma * avg[parent]
+        stack = (
+            [parent.left, parent.right] if parent.level < grid.depth else []
+        )
+        found = []
+        while stack:
+            node = stack.pop()
+            if avg[node] > threshold:
+                found.append(node)
+            elif node.level < grid.depth:
+                stack.extend([node.left, node.right])
+        for node in sorted(found):
+            while len(generations) <= generation:
+                generations.append([])
+            generations[generation].append(node)
+            stopping_parent[node] = parent
+            scan(node, generation + 1)
+
+    scan(root, 1)
+    return tuple(tuple(g) for g in generations), stopping_parent
+
+
+def corona_members_by_walk(stopping_parent: dict, w: Weight, G) -> list:
+    """Intervals of the corona of G: inside G but in no stopping child of G."""
+    grid = w.grid
+    stop_children = [q for q, p in stopping_parent.items() if p == G]
+    members = []
+    stack = [G]
+    while stack:
+        node = stack.pop()
+        if node != G and node in stop_children:
+            continue
+        members.append(node)
+        if node.level < grid.depth:
+            stack.extend([node.left, node.right])
+    return members

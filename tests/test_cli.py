@@ -393,6 +393,52 @@ def test_corona_cascade_chains():
     assert "super-geometric check: PASS" in out
 
 
+def _corona_with_top(monkeypatch, top_of):
+    """Make `haarshift corona` check the decomposition whose `top` array
+    top_of(grid) gives, in place of the one it computes."""
+    from haarshift import CoronaDecomposition, cli
+
+    def patched(w, root, gamma):
+        top = np.asarray(top_of(w.grid))
+        top.setflags(write=False)
+        return CoronaDecomposition(root=root, gamma=gamma, top=top)
+
+    monkeypatch.setattr(cli, "corona", patched)
+
+
+def test_corona_check_fails_on_a_stopping_edge_below_gamma(monkeypatch):
+    argv = ["corona", "--weight", "constant:c=1", "--depth", "4", "--gamma", "2"]
+    assert _run(argv)[0] == 0
+
+    def top_of(grid):
+        # (1,0) made a stopping interval of a flat weight: its edge to the
+        # root grows by 1, not by more than gamma
+        top = np.zeros(grid.tree_size, dtype=int)
+        for level in range(1, grid.depth + 1):
+            first = (1 << level) - 1
+            top[first:first + (1 << (level - 1))] = 1
+        return top
+
+    _corona_with_top(monkeypatch, top_of)
+    code, out, _ = _run(argv)
+    assert "generation 1: 1 interval(s): (1,0)" in out
+    assert "super-geometric check: FAIL" in out
+    assert code == 1
+
+
+def test_corona_check_fails_on_an_average_above_gamma_times_its_top(monkeypatch):
+    # <w> on [0,1) = 15/8 and on [0,1/4) = 9/2 > 2 * 15/8: (2,0) must stop
+    argv = ["corona", "--weight", "step:a=8,b=1,split=0.125", "--depth", "3",
+            "--gamma", "2"]
+    code, out, _ = _run(argv)
+    assert code == 0 and "generation 1: 1 interval(s): (2,0)" in out
+    _corona_with_top(monkeypatch, lambda grid: np.zeros(grid.tree_size, dtype=int))
+    code, out, _ = _run(argv)
+    assert "generation 1" not in out
+    assert "super-geometric check: FAIL" in out
+    assert code == 1
+
+
 def test_kernel_table_verifies_closed_form():
     code, out, _ = _run(["kernel", "--depth", "5"])
     assert code == 0

@@ -36,6 +36,7 @@ from haarshift import (
     subtree_sums,
     weighted_square_norm_sq,
 )
+from oracles import corona_by_scan, corona_members_by_walk
 
 
 def _rand(grid, rng):
@@ -273,11 +274,49 @@ def test_corona_contract_random_cascades():
         # within a corona no average exceeds gamma times the stopping average
         for g in decomp.stopping_intervals():
             members = corona_members(decomp, w, g)
-            assert max(avg[k] for k in members) <= gamma * avg[g] * (1 + 1e-12)
+            assert avg.tree[members].max() <= gamma * avg[g] * (1 + 1e-12)
         # chains grow strictly super-geometrically
         for chain in decomp.chains():
             for parent, child in zip(chain, chain[1:]):
                 assert avg[child] > gamma * avg[parent]
+
+
+def test_corona_equals_recursive_scan():
+    # the downward sweep against the recursive interval walk: generations
+    # in order, stopping parents and every corona's member set
+    specs = [WeightSpec("cascade", eps=eps, seed=seed)
+             for eps in (0.2, 0.5, 0.8) for seed in (1, 2)]
+    specs += [WeightSpec("power", alpha=a) for a in (-0.7, 0.5)]
+    specs += [WeightSpec("step", a=8.0, b=1.0, split=0.125),
+              WeightSpec("constant", c=2.0)]
+    roots = (DyadicIndex(0, 0), DyadicIndex(1, 1), DyadicIndex(2, 1))
+    cases = 0
+    for depth in (3, 6, 8):
+        grid = Grid(depth)
+        for spec in specs:
+            w = make_weight(spec, grid)
+            for gamma in (1.1, 1.5, 2.0, 4.0):
+                for root in roots:
+                    decomp = corona(w, root, gamma)
+                    generations, stopping_parent = corona_by_scan(w, root, gamma)
+                    assert decomp.generations == generations
+                    assert decomp.stopping_parent == stopping_parent
+                    for g in decomp.stopping_intervals():
+                        walk = corona_members_by_walk(stopping_parent, w, g)
+                        members = corona_members(decomp, w, g)
+                        assert members.tolist() == sorted(q.flat_offset for q in walk)
+                    cases += 1
+    assert cases == 3 * 10 * 4 * 3
+
+
+def test_corona_members_rejects_non_stopping_interval():
+    # (1,0) lies in the root's corona of a flat weight: it has no corona
+    w = make_weight(WeightSpec("constant", c=1.0), Grid(4))
+    decomp = corona(w, DyadicIndex(0, 0), 2.0)
+    assert corona_members(decomp, w, DyadicIndex(0, 0)).size == 31
+    for G in (DyadicIndex(1, 0), DyadicIndex(4, 3), DyadicIndex(5, 0)):
+        with pytest.raises(ValueError, match="not a stopping interval"):
+            corona_members(decomp, w, G)
 
 
 def test_corona_dominates_nested_carleson_sum():
