@@ -26,7 +26,8 @@ from .grid import (
     subtree_sums,
     sum_interval_constants,
 )
-from .norms import DENSE_DEPTH_CAP, ConvergenceError, _top_singular_value, lanczos_top
+from .norms import DEFAULT_MAX_ITER, DENSE_DEPTH_CAP, ConvergenceError, lanczos_top
+from .norms import _dot, _top_singular_value
 from .operators import HaarShift, Paraproduct
 from .weights import Weight
 
@@ -90,7 +91,7 @@ def _parent_averages(grid: Grid, avg_haar: np.ndarray) -> np.ndarray:
 
 
 def s_pi_sharp_ratio(
-    w: Weight, tol: float = 1e-9, max_iter: int = 50000, seed: int = 1
+    w: Weight, tol: float = 1e-9, max_iter: int = DEFAULT_MAX_ITER, seed: int = 1
 ) -> float:
     """Sharp constant  sup { <D phi, phi> / <M_w phi, phi> : phi mean-zero }
     where D sends h_I -> <w>_{pi I} h_I.
@@ -102,10 +103,10 @@ def s_pi_sharp_ratio(
     grid = w.grid
     d = Paraproduct(grid, _parent_averages(grid, w.w.averages.haar_part), "00")
     u = w.w_inv_half.values
-    u_norm_sq = float(u @ u)
+    u_norm_sq = _dot(u, u)
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - (float(u @ x) / u_norm_sq) * u
+        return x - (_dot(u, x) / u_norm_sq) * u
 
     def matvec(x: np.ndarray) -> np.ndarray:
         y = project(x) * u

@@ -30,10 +30,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 20000
+DEFAULT_MAX_ITER = 1024
 DEFAULT_SEED = 1
 
 DENSE_DEPTH_CAP = 10
+
+EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -106,135 +108,27 @@ def exact_norm(op: DyadicOperator) -> float | None:
 # Lanczos
 
 
-def _pivots(alphas: list, betas: list, x: float) -> tuple[list, float] | None:
-    """Pivots of the LDL^T factorization of x I - T for the tridiagonal T
-    (diagonal alphas, off-diagonal betas), and the derivative in x of the
-    last pivot.  None when an earlier pivot is not positive: x then lies
-    below the top eigenvalue of a leading block, hence below T's."""
-    d, dp = [x - alphas[0]], 1.0
-    for a, beta in zip(alphas[1:], betas):
-        p = d[-1]
-        if p <= 0.0:
-            return None
-        ratio = beta / p
-        dp = 1.0 + ratio * ratio * dp
-        d.append(x - a - ratio * beta)
-    return d, dp
+def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, float]:
+    """Top eigenvalue theta (clipped at 0) of the Lanczos tridiagonal T_k
+    (diagonal alphas, off-diagonal betas) and the last component |e_k^T s|
+    of its unit eigenvector, from LAPACK's symmetric eigensolver (eigh
+    reads only the lower triangle)."""
+    values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+    return max(float(values[-1]), 0.0), abs(float(vectors[-1, -1]))
 
 
-def _two_by_two_top(theta: float, alpha: float, coupling_sq: float) -> float:
-    """Top eigenvalue of [[theta, g], [g, alpha]] with g^2 = coupling_sq."""
-    half_gap = 0.5 * (alpha - theta)
-    root = math.sqrt(half_gap * half_gap + coupling_sq)
-    if half_gap >= 0.0:
-        return theta + half_gap + root
-    return theta + coupling_sq / (root - half_gap)
+def _solves_at(step: int, max_iter: int) -> bool:
+    """The steps that solve T_k: every step up to 128, then eight per
+    doubling of k, and the last, so a run that cannot converge pays for
+    about one O(max_iter^3) solve rather than one per step."""
+    stride = 1 << max(step.bit_length() - 4, 0)
+    return step <= 128 or step % stride == 0 or step == max_iter
 
 
-def _pole_model_top(
-    theta: float, alpha: float, pole: float, x: float, p: float, dp: float
-) -> float | None:
-    """Root above theta of the model of the last pivot p of x I - T_k that
-    keeps the top pole pole / (x - theta) exactly and replaces the rest of
-    the pole sum by its tangent at x, fitted to p(x) and p'(x); None where
-    the fit gives the rest a sign it cannot have.  Like the 2x2 model (the
-    same with the rest dropped), it is a 2x2 top eigenvalue.  The rest is
-    convex, so the root is a lower bound when the pole weight is exact; it
-    is not when s_prev is off, so it only picks the next point."""
-    d = x - theta
-    if d <= 0.0:
-        return None
-    rest = x - alpha - pole / d - p
-    slope = 1.0 + pole / (d * d) - dp
-    if rest < 0.0 or slope > 0.0:
-        return None
-    scale = 1.0 - slope
-    offset = theta - alpha - rest + slope * d
-    return _two_by_two_top(theta, theta - offset / scale, pole / scale)
-
-
-def _top_eigenvalue(alphas: list, betas: list, theta_prev: float, s_prev: float):
-    """Top eigenvalue of the k-step Lanczos tridiagonal T_k, given the top
-    eigenvalue theta_prev of T_{k-1} and the last component s_prev of its
-    unit eigenvector, as (x, pivots of x I - T_k) at a point x a few ulps
-    above it.
-
-    On (theta_prev, inf) the last pivot p(x) of x I - T_k is increasing
-    and concave, and its root there is the answer.  Keeping only the top
-    pole of p gives the 2x2 model with coupling beta s_prev, whose top
-    eigenvalue is the first point; putting all the pole weight there gives
-    coupling beta and an upper bound.  By concavity the Newton step from
-    either side lands at or below the root: from above it closes the
-    bracket, from below it creeps up to the root and is nudged a few ulps
-    past it.  Where Newton from below is still far (early steps, where the
-    2x2 point can be 1e-2 short), the root of a pole model fitted at the
-    sweep point (_pole_model_top) is usually within rounding of the answer,
-    and the next point is just past it.  So two or three O(k) sweeps
-    usually do.  s_prev only picks points, never an end of the bracket,
-    and bisection inside the bracket is the safeguard.
-    """
-    beta, alpha = betas[-1], alphas[-1]
-    pole = (beta * s_prev) ** 2
-    lo = theta_prev - 8.0 * math.ulp(theta_prev)
-    x = _two_by_two_top(theta_prev, alpha, pole)
-    hi = _two_by_two_top(theta_prev, alpha, beta * beta)
-    hi += 8.0 * (math.ulp(hi) + math.ulp(beta))
-    found = None
-    while True:
-        factors = _pivots(alphas, betas, x)
-        above = factors is not None and factors[0][-1] > 0.0
-        if above:
-            hi, found = x, factors
-        elif x >= hi:
-            # rounding put the upper bound below the root: widen it (the
-            # ulps keep it moving when a Newton step has closed lo on hi)
-            lo, hi = hi, hi + 2.0 * (hi - lo) + 8.0 * math.ulp(hi)
-            x = hi
-            continue
-        else:
-            lo = x
-        if factors is not None:
-            p, dp = factors[0][-1], factors[1]
-            step = x - p / dp
-            if above:
-                # concave p: the Newton step from above lands below the
-                # root, so it closes the bracket; if not, try just above it
-                lo = max(lo, min(step, hi))
-                step = lo + 4.0 * math.ulp(lo)
-            else:
-                model = _pole_model_top(theta_prev, alpha, pole, x, p, dp)
-                if model is not None and model > step + 4.0 * math.ulp(step):
-                    step = model + 4.0 * math.ulp(model)
-                # Newton from below creeps up to the root; step past it to
-                # close the bracket from above
-                step = max(step, lo + 4.0 * math.ulp(lo))
-        if hi - lo <= 8.0 * math.ulp(hi):
-            if found is not None:
-                return hi, found[0]
-            x = hi
-            continue
-        x = step if factors is not None and step < hi else 0.5 * (lo + hi)
-
-
-def _last_component(betas: list, pivots: list) -> float:
-    """|e_k^T s| for the unit top eigenvector s of T_k, by two steps of
-    inverse iteration from e_k at a shift x just above the top eigenvalue,
-    where x I - T_k = L D L^T with D = diag(pivots), all positive, and L
-    unit lower bidiagonal with entries -beta_i / pivot_i.  Each step damps
-    the other eigenvectors by (x - theta) / gap, so a component far below
-    the distance from x to the root still comes out right."""
-    k = len(pivots)
-    ratios = [b / p for b, p in zip(betas, pivots)]
-    z = [0.0] * (k - 1) + [1.0]
-    for _ in range(2):
-        for i in range(1, k):
-            z[i] += ratios[i - 1] * z[i - 1]
-        z = [zi / p for zi, p in zip(z, pivots)]
-        for i in range(k - 2, -1, -1):
-            z[i] += ratios[i] * z[i + 1]
-        scale = max(z)
-        z = [zi / scale for zi in z]
-    return z[-1] / math.sqrt(math.fsum(zi * zi for zi in z))
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by numpy's pairwise summation, not BLAS, so the bits do not
+    depend on the BLAS thread count."""
+    return float(np.add.reduce(x * y))
 
 
 def lanczos_top(
@@ -249,42 +143,43 @@ def lanczos_top(
 
     Stops at step k when the Ritz residual bound beta_k |e_k^T s| of the
     top Ritz pair (theta, s) of T_k is at most tol * theta (Paige 1980:
-    some eigenvalue of the map then lies within that bound of theta).  A
-    zero map stops at step 1 with an exactly zero residual on an invariant
-    Krylov space.  Returns (theta, steps, relative residual bound,
-    converged).  Ritz values of nested Krylov spaces interlace, so theta
-    is non-decreasing (to a few ulps) and approaches the top eigenvalue
-    from below; pass a list as `history` to record it per step.
+    some eigenvalue of the map then lies within that bound of theta).  The
+    pair is solved at the steps _solves_at picks and wherever beta_k = 0.
+    A zero map stops at step 1 with an exactly zero residual on an
+    invariant Krylov space.  Returns (theta, steps, relative residual
+    bound, converged).  Ritz values of nested Krylov spaces interlace, so
+    theta is non-decreasing (to a few ulps) and approaches the top
+    eigenvalue from below; pass a list as `history` to record it per
+    solve.  No bound computed in double precision can meet a tol below
+    machine epsilon, so such a tol is an error.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not EPS <= tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, at least machine epsilon "
+                         f"{EPS:.3g}, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    v = x0 / np.linalg.norm(x0)
+    v = x0 / math.sqrt(_dot(x0, x0))
     v_prev = np.zeros_like(v)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
     for step in range(1, max_iter + 1):
         u = matvec(v) - beta * v_prev
-        alpha = float(v @ u)
+        alpha = _dot(v, u)
         u -= alpha * v
-        beta = float(np.linalg.norm(u))
+        beta = math.sqrt(_dot(u, u))
         if not math.isfinite(alpha + beta):
             raise ValueError(f"non-finite Lanczos coefficient at step {step}")
         alphas.append(alpha)
-        if step == 1:
-            theta, s = alpha, 1.0
-        else:
-            theta, pivots = _top_eigenvalue(alphas, betas, theta, s)
-            s = _last_component(betas, pivots)
-        theta = max(theta, 0.0)
-        if history is not None:
-            history.append(theta)
-        bound = beta * s
-        residual = bound / theta if theta > 0.0 else (0.0 if bound == 0.0 else math.inf)
-        if bound <= tol * theta:
-            return theta, step, residual, True
+        # beta = 0: the Krylov space is invariant and theta exact
+        if beta == 0.0 or _solves_at(step, max_iter):
+            theta, s = _top_ritz_pair(alphas, betas)
+            if history is not None:
+                history.append(theta)
+            bound = beta * s
+            residual = bound / theta if theta > 0.0 else (0.0 if bound == 0.0 else math.inf)
+            if bound <= tol * theta:
+                return theta, step, residual, True
         betas.append(beta)
         u /= beta
         v_prev, v = v, u
@@ -342,8 +237,10 @@ def _top_singular_value(mat: np.ndarray) -> float:
 
 def dense_norm(op: DyadicOperator) -> float:
     """Oracle operator norm: the top singular value of the materialized
-    matrix from LAPACK, sharing no code with the exact path or the Lanczos
-    iteration it checks.  Capped at depth 10 (memory)."""
+    matrix from LAPACK.  It shares no code with the exact path, and only
+    LAPACK's symmetric eigensolver with the Lanczos iteration it checks,
+    which that applies to T_k rather than M^T M.  Capped at depth 10
+    (memory)."""
     if op.grid.depth > DENSE_DEPTH_CAP:
         raise ValueError(f"dense norm capped at depth {DENSE_DEPTH_CAP}")
     return _top_singular_value(materialize(op))

@@ -144,6 +144,20 @@ def test_norms_non_finite_tol_usage_error():
         assert "error: tol must be finite and positive" in err
 
 
+def test_tol_below_machine_epsilon_usage_error():
+    # no bound computed in double precision meets tol = 1e-17: a run would
+    # go on to the step cap, or claim a convergence it cannot have
+    for argv in (
+        ["norms", "--weight", "power:alpha=0.5", "--depth", "6"],
+        ["sweep", "--family", "power", "--params", "0.1,0.3,0.5", "--depth", "4",
+         "--workers", "0"],
+        ["verify", "--depth", "4"],
+    ):
+        code, out, err = _run(argv + ["--tol", "1e-17"])
+        assert code == 2, argv
+        assert out == "" and "machine epsilon" in err, argv
+
+
 def test_norms_unwritable_out_usage_error(tmp_path):
     out_file = tmp_path / "missing" / "x.csv"
     code, out, err = _run(
@@ -457,6 +471,38 @@ def test_norms_weight_with_subnormal_reciprocal_usage_error():
         code, out, err = _run(["norms", "--weight", f"constant:c={c}", "--depth", "5"])
         assert code == 2, c
         assert out == "" and "normal double" in err
+
+
+def test_sweep_and_sharp_ratios_identical_under_any_blas_thread_count():
+    # Lanczos reduces with numpy's pairwise sums, not BLAS: at depth 14 a
+    # BLAS dot product is split across threads, so its rounding, and the
+    # last digits of every row and ratio, would follow OPENBLAS_NUM_THREADS
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "from haarshift import Grid, WeightSpec, make_weight, s_pi_sharp_ratio\n"
+        "from haarshift.cli import main\n"
+        "main(['sweep', '--family', 'power', '--params=-0.9,0.3,0.9',"
+        " '--depth', '14', '--workers', '0'])\n"
+        "grid = Grid(14)\n"
+        "for alpha in (-0.9, 0.3, 0.9):\n"
+        "    w = make_weight(WeightSpec('power', alpha=alpha), grid)\n"
+        "    print(repr(s_pi_sharp_ratio(w)))\n"
+    )
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(src)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 1 + 3 * len(TERM_ORDER) + 3
+    assert outputs[0] == outputs[1]
 
 
 def test_python_dash_m_runs_from_a_checkout():

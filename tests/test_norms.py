@@ -146,43 +146,11 @@ def test_top_ritz_values_monotone():
     assert max(history) <= top * (1 + 1e-14)
 
 
-def test_top_ritz_value_takes_few_pivot_sweeps_per_step(monkeypatch):
-    # the Newton step from the first point above the top Ritz value closes
-    # the bracket, and a pole model jumps the early steps to within
-    # rounding; counted on the depth-14 contrast operators
-    from haarshift import norms
-
-    sweep_points = []
-    pivots = norms._pivots
-
-    def counting_pivots(*args):
-        sweep_points.append(args[-1])
-        return pivots(*args)
-
-    monkeypatch.setattr(norms, "_pivots", counting_pivots)
-    grid = Grid(14)
-    steps = 0
-    for eps in (0.15, 0.75):
-        w = make_weight(WeightSpec("cascade", eps=eps, seed=5), grid)
-        for shift in ("half", "full"):
-            ops = resolution_pieces(w, shift)
-            ops["M_conj"] = conjugated_shift(w, shift)
-            for op in ops.values():
-                if exact_norm(op) is None:
-                    result = operator_norm(op)
-                    assert result.converged
-                    steps += result.iterations
-    assert steps > 100
-    assert len(sweep_points) <= 3 * steps
-
-
 def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals():
-    # random, tiny-coupling, clustered and wide-range tridiagonals, fed the
-    # last component from the engine's own inverse iteration, which loses
-    # its accuracy once that component falls below rounding: the bracket
-    # must not rest on it
-    from haarshift import norms
-
+    # Lanczos on T^T T for random, tiny-coupling, clustered and wide-range
+    # tridiagonals T: no Ritz value exceeds the top eigenvalue by more than
+    # rounding, and a converged run's residual bound holds an eigenvalue
+    # (Paige 1980)
     rng = np.random.default_rng(0)
     for trial in range(400):
         k = int(rng.integers(2, 40))
@@ -196,16 +164,47 @@ def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals():
             b = 10.0 ** rng.uniform(-10, -3, k - 1)
         else:
             a, b = 10.0 ** rng.uniform(-8, 3, k), 10.0 ** rng.uniform(-8, 2, k - 1)
-        alphas, betas = [float(a[0])], []
-        theta, s = alphas[0], 1.0
-        for j in range(1, k):
-            alphas.append(float(a[j]))
-            betas.append(float(b[j - 1]))
-            theta, pivots = norms._top_eigenvalue(alphas, betas, theta, s)
-            s = norms._last_component(betas, pivots)
-            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            top = float(np.linalg.eigvalsh(tri)[-1])
-            assert abs(theta - top) <= 64 * math.ulp(top), (trial, j)
+        tri = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+        mat = tri.T @ tri
+        eigs = np.linalg.eigvalsh(mat)
+        top = float(eigs[-1])
+        history = []
+        x0 = rng.uniform(-1, 1, k)
+        theta, _, residual, converged = lanczos_top(
+            lambda x: mat @ x, x0, 1e-12, 4 * k, history=history
+        )
+        slack = 64 * math.ulp(top)
+        assert max(history) <= top + slack, trial
+        assert converged, trial
+        assert np.abs(eigs - theta).min() <= residual * theta + slack, trial
+
+
+def test_ritz_solves_are_bounded_on_a_run_that_cannot_converge(monkeypatch):
+    # every step solves T_k up to k = 128, then eight solves per doubling of
+    # k, and the last step solves: 152 solves in 1024 steps, not 1024
+    from haarshift import norms
+
+    sizes = []
+    top_ritz_pair = norms._top_ritz_pair
+
+    def counting_top_ritz_pair(alphas, betas):
+        sizes.append(len(alphas))
+        return top_ritz_pair(alphas, betas)
+
+    monkeypatch.setattr(norms, "_top_ritz_pair", counting_top_ritz_pair)
+    # a spectrum with a relative top gap of 1e-5 keeps the residual far
+    # above the tolerance at the step cap
+    spectrum = np.linspace(0.0, 1.0, 100_000)
+    x0 = np.random.default_rng(3).uniform(-1, 1, len(spectrum))
+    theta, steps, residual, converged = lanczos_top(
+        lambda x: spectrum * x, x0, 1e-9, norms.DEFAULT_MAX_ITER
+    )
+    assert not converged and residual > 1e-9
+    assert steps == norms.DEFAULT_MAX_ITER == 1024
+    assert sizes[:128] == list(range(1, 129))
+    for lo in (128, 256, 512):
+        assert sum(lo < k <= 2 * lo for k in sizes) == 8, lo
+    assert len(sizes) == 152 and sizes[-1] == 1024
 
 
 def test_estimate_below_true_norm():
@@ -250,6 +249,19 @@ def test_lanczos_rejects_non_finite_tol():
             operator_norm(op, tol=tol)
         with pytest.raises(ValueError):
             s_pi_sharp_ratio(w, tol=tol)
+
+
+def test_lanczos_rejects_tol_below_machine_epsilon():
+    # no bound computed in double precision can meet such a tolerance
+    eps = np.finfo(float).eps
+    op = _IdentityOperator(Grid(4))
+    w = make_weight(WeightSpec("cascade", eps=0.4, seed=2), Grid(4))
+    for tol in (1e-17, eps / 2):
+        with pytest.raises(ValueError, match="machine epsilon"):
+            operator_norm(op, tol=tol)
+        with pytest.raises(ValueError, match="machine epsilon"):
+            s_pi_sharp_ratio(w, tol=tol)
+    assert operator_norm(op, tol=eps).converged
 
 
 def test_lanczos_rejects_non_finite_coefficients():
