@@ -103,10 +103,11 @@ def s_pi_sharp_ratio(
     grid = w.grid
     d = Paraproduct(grid, _parent_averages(grid, w.w.averages.haar_part), "00")
     u = w.w_inv_half.values
-    u_norm_sq = _dot(u, u)
+    buf = np.empty_like(u)
+    u_norm_sq = _dot(u, u, buf)
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - (_dot(u, x) / u_norm_sq) * u
+        return x - (_dot(u, x, buf) / u_norm_sq) * u
 
     def matvec(x: np.ndarray) -> np.ndarray:
         y = project(x) * u

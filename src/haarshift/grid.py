@@ -464,14 +464,23 @@ def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
 
 
 def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray:
-    """Leaf values of sum_I c_I 1_I over Haar-bearing I, one downward sweep."""
+    """Leaf values of sum_I c_I 1_I over Haar-bearing I, one downward sweep:
+    each child's running sum is its parent's plus its own constant, written
+    straight into the even (left) and odd (right) rows of the child level."""
     rows = grid.haar_size
     _check_rows(haar_constants, rows, "expected one constant per Haar-bearing interval")
-    acc = haar_constants[Grid.level_slice(0)].copy()
+    acc = haar_constants[Grid.level_slice(0)]
     for lev in range(1, grid.depth):
-        acc = np.repeat(acc, 2, axis=0) + haar_constants[Grid.level_slice(lev)]
-        _tally(acc.size)
-    return np.repeat(acc, 2, axis=0)
+        consts = haar_constants[Grid.level_slice(lev)]
+        child = np.empty(consts.shape)
+        np.add(acc, consts[0::2], out=child[0::2])
+        np.add(acc, consts[1::2], out=child[1::2])
+        _tally(child.size)
+        acc = child
+    out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
+    out[0::2] = acc
+    out[1::2] = acc
+    return out
 
 
 def gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import LeafFunction
+from .grid import HaarSymbol, LeafFunction, analyze
 from .operators import (
     Composition,
     DyadicOperator,
@@ -125,10 +125,10 @@ def _solves_at(step: int, max_iter: int) -> bool:
     return step <= 128 or step % stride == 0 or step == max_iter
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
     """x . y by numpy's pairwise summation, not BLAS, so the bits do not
-    depend on the BLAS thread count."""
-    return float(np.add.reduce(x * y))
+    depend on the BLAS thread count.  out, if given, holds the products."""
+    return float(np.add.reduce(np.multiply(x, y, out=out)))
 
 
 def lanczos_top(
@@ -164,10 +164,12 @@ def lanczos_top(
     betas: list[float] = []
     beta = 0.0
     for step in range(1, max_iter + 1):
-        u = matvec(v) - beta * v_prev
-        alpha = _dot(v, u)
-        u -= alpha * v
-        beta = math.sqrt(_dot(u, u))
+        v_prev *= beta
+        u = matvec(v) - v_prev
+        # v_prev is not read again: its storage holds this step's products
+        alpha = _dot(v, u, v_prev)
+        u -= np.multiply(v, alpha, out=v_prev)
+        beta = math.sqrt(_dot(u, u, v_prev))
         if not math.isfinite(alpha + beta):
             raise ValueError(f"non-finite Lanczos coefficient at step {step}")
         alphas.append(alpha)
@@ -205,18 +207,32 @@ def operator_norm(
     Deterministic for fixed (op, tol, max_iter, seed); the value
     approaches the true norm from below.  Non-convergence is reported
     through the flag rather than raised: callers decide whether to fail.
-    Reads nothing from the operator's structure: callers that want the
-    exact path ask exact_norm first.
+    Reads nothing from the operator's structure but annihilates_constants:
+    callers that want the exact path ask exact_norm first.
+
+    Lanczos runs in the coordinates the first factor reads: T*T of an
+    operator that annihilates constants lives on span{h_I}, so its vectors
+    are Haar coefficients and no step sweeps to leaf values and back; the
+    rest run on leaf values.  Both start from the same function, in
+    coordinates orthonormal up to one scale, so in exact arithmetic the
+    Krylov space and the Ritz values are the same.
     """
     grid = op.grid
+    x0 = _start_vector(op, seed)
 
-    def normal_matvec(x: np.ndarray) -> np.ndarray:
-        fx = op.apply(LeafFunction(grid, x))
-        return op.adjoint_apply(fx).values
+    if op.annihilates_constants:
+        x0 = analyze(LeafFunction(grid, x0)).coeff
 
-    theta, steps, residual, converged = lanczos_top(
-        normal_matvec, _start_vector(op, seed), tol, max_iter
-    )
+        def normal_matvec(c: np.ndarray) -> np.ndarray:
+            f = LeafFunction.from_symbol(HaarSymbol(grid, c, 0.0))
+            return op.adjoint_apply(op.apply(f)).symbol.coeff
+
+    else:
+
+        def normal_matvec(x: np.ndarray) -> np.ndarray:
+            return op.adjoint_apply(op.apply(LeafFunction(grid, x))).values
+
+    theta, steps, residual, converged = lanczos_top(normal_matvec, x0, tol, max_iter)
     return NormResult(math.sqrt(theta), steps, residual, converged)
 
 

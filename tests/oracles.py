@@ -11,6 +11,7 @@ from haarshift import (
     delta_sign,
     haar_function,
 )
+from haarshift.norms import NormResult, _start_vector, lanczos_top
 from haarshift.operators import DyadicOperator
 
 
@@ -29,6 +30,23 @@ class OpaqueOperator(DyadicOperator):
 
     def adjoint_apply(self, f):
         return self.inner.adjoint_apply(f)
+
+
+def leaf_coordinate_norm(
+    op: DyadicOperator, tol: float = 1e-9, max_iter: int = 1024, seed: int = 1
+) -> NormResult:
+    """operator_norm with Lanczos on leaf values for every operator: each
+    T*T matvec takes leaf values in and sweeps its output back to them.
+    Same start vector as the engine, so the same Krylov space."""
+    grid = op.grid
+
+    def normal_matvec(x):
+        return op.adjoint_apply(op.apply(LeafFunction(grid, x))).values
+
+    theta, steps, residual, converged = lanczos_top(
+        normal_matvec, _start_vector(op, seed), tol, max_iter
+    )
+    return NormResult(math.sqrt(theta), steps, residual, converged)
 
 
 def materialize_by_columns(op: DyadicOperator) -> np.ndarray:

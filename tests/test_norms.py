@@ -23,9 +23,10 @@ from haarshift import (
     resolution_pieces,
     s_pi_sharp_ratio,
     WeightSpec,
+    count_operations,
 )
 from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
-from oracles import OpaqueOperator
+from oracles import OpaqueOperator, leaf_coordinate_norm
 
 
 class _ZeroOperator:
@@ -378,3 +379,46 @@ def test_memory_holds_no_krylov_basis():
         tracemalloc.stop()
     assert result.converged and result.iterations > 16
     assert peak <= 16 * grid.leaf_count * 8
+
+
+# -- Lanczos on Haar coefficients for mean-free terms --------------------------
+
+# the terms whose right factor reads Haar coefficients and that have no
+# exact norm: their T*T lives on span{h_I}
+HAAR_COORDINATE_TERMS = ("Q_01_10", "Q_10_10", "Q_00_10", "Q_01_00", "Q_10_00")
+
+
+@pytest.mark.parametrize("depth", [8, 10])
+def test_haar_coordinate_lanczos_matches_leaf_coordinates(depth):
+    # same Krylov space in other orthonormal coordinates: same steps, and
+    # values apart only by rounding
+    grid = Grid(depth)
+    for spec in (WeightSpec("cascade", eps=0.6, seed=5), WeightSpec("power", alpha=0.5)):
+        w = make_weight(spec, grid)
+        for shift in SHIFT_KINDS:
+            ops = resolution_pieces(w, shift)
+            for label in HAAR_COORDINATE_TERMS:
+                op = ops[label]
+                assert op.annihilates_constants and exact_norm(op) is None, label
+                haar, leaf = operator_norm(op), leaf_coordinate_norm(op)
+                assert haar.converged and leaf.converged, (spec, shift, label)
+                assert haar.iterations == leaf.iterations, (spec, shift, label)
+                assert haar.value == pytest.approx(leaf.value, rel=1e-14, abs=0.0), (
+                    spec, shift, label,
+                )
+
+
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_engine_cost_per_step_pinned(shift):
+    # sweep work per Lanczos step, start vector included: these terms
+    # iterate on Haar coefficients, so no step pays the two sweeps to leaf
+    # values and back (about 6 leaf_count more)
+    grid = Grid(10)
+    w = make_weight(WeightSpec("cascade", eps=0.6, seed=5), grid)
+    ops = resolution_pieces(w, shift)
+    caps = {"Q_01_00": 7, "Q_10_00": 7, "Q_00_10": 7, "Q_01_10": 13, "Q_10_10": 13}
+    for label, cap in caps.items():
+        with count_operations() as tally:
+            result = operator_norm(ops[label])
+        assert result.converged, label
+        assert tally.total <= cap * grid.leaf_count * result.iterations, label

@@ -204,8 +204,10 @@ def test_block_matvec_counts_k_times_one_column(shift):
 
 @pytest.mark.parametrize("shift", SHIFT_KINDS)
 def test_q_term_matvec_cost_pinned(shift):
-    # one T*T matvec on a fresh input, through to leaf values, as the norm
-    # engine runs it: Haar data passes between factors without leaf sweeps
+    # one T*T matvec from leaf values through to leaf values, as the norm
+    # engine runs the terms that do not annihilate constants (the others
+    # iterate on Haar coefficients): Haar data passes between factors
+    # without leaf sweeps
     grid = Grid(10)
     w = _cascade(grid)
     rng = np.random.default_rng(30)
