@@ -14,8 +14,8 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,26 +78,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _spec_for(family: str, param: float, seed: int) -> WeightSpec:
-    return WeightSpec(family, seed=seed, **{SWEEP_PARAM[family]: param})
-
-
 def compute_norm_rows(
-    family: str,
-    param: float,
-    spec: WeightSpec,
-    depth: int,
-    shift: str,
-    tol: float,
-    seed: int,
+    spec: WeightSpec, depth: int, shift: str, tol: float, seed: int
 ) -> tuple[list[SweepRow], list[str]]:
     """All eleven operator-norm rows for one weight; warnings for rows whose
-    Lanczos residual bound did not meet tol (marked by ratio = NaN).
+    Lanczos residual bound did not meet tol (marked by ratio = NaN).  The
+    rows carry the spec's family and its swept parameter (SWEEP_PARAM).
 
     Each norm is read from the operator's structure when exact_norm can,
     before any operator reaches operator_norm: a caller that wraps the
     operators it hands the engine (a tracing proxy) then gets the same
     rows."""
+    family = spec.family
+    param = getattr(spec, SWEEP_PARAM[family])
     grid = Grid(depth)
     w = make_weight(spec, grid)
     a2 = a2_characteristic(w)
@@ -123,12 +116,6 @@ def compute_norm_rows(
     return rows, warnings
 
 
-def _sweep_point(args: tuple) -> tuple[list[SweepRow], list[str]]:
-    family, param, depth, shift, tol, seed = args
-    spec = _spec_for(family, param, seed)
-    return compute_norm_rows(family, param, spec, depth, shift, tol, seed)
-
-
 def sweep_rows(
     family: str,
     params: list[float],
@@ -138,16 +125,21 @@ def sweep_rows(
     seed: int,
     workers: int | None = None,
 ) -> tuple[list[SweepRow], list[str]]:
-    """One norms block per parameter, computed in a process pool but emitted
-    in deterministic (param, term) order."""
-    jobs = [(family, p, depth, shift, tol, seed) for p in params]
+    """One norms block per parameter, emitted in deterministic (param, term)
+    order.  The points run in this process unless workers >= 2 asks for a
+    pool of min(workers, points) processes, which pays only when BLAS runs
+    one thread per process."""
+    specs = [WeightSpec(family, seed=seed, **{SWEEP_PARAM[family]: p}) for p in params]
+    point = partial(compute_norm_rows, depth=depth, shift=shift, tol=tol, seed=seed)
     # the pool starts all max_workers processes at the first submit
-    size = min(workers or os.cpu_count() or 1, len(jobs))
-    if workers == 0 or size == 1:
-        results = [_sweep_point(job) for job in jobs]
+    size = min(workers or 1, len(specs))
+    if size < 2:
+        results = list(map(point, specs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_sweep_point, jobs))
+            results = list(pool.map(point, specs))
     rows, warnings = [], []
     for point_rows, point_warnings in results:
         rows.extend(point_rows)
@@ -226,9 +218,8 @@ def cmd_verify(args) -> int:
 
 def cmd_norms(args) -> int:
     spec = WeightSpec.parse(args.weight)
-    param = getattr(spec, SWEEP_PARAM[spec.family])
     rows, warnings = compute_norm_rows(
-        spec.family, param, spec, args.depth, args.shift, args.tol, args.seed
+        spec, args.depth, args.shift, args.tol, args.seed
     )
     for line in warnings:
         print(line, file=sys.stderr)
@@ -263,8 +254,9 @@ def cmd_sweep(args) -> int:
 
 
 def _depth_stability_report(args, params: list[float], rows: list[SweepRow]) -> None:
-    """Recompute at depth-2 and report relative norm differences (the size
-    of the shift-truncation effect); diagnostic only, nothing asserted."""
+    """Recompute at depth-2 and report relative norm differences; these mix
+    the weight's two finest generations with the shift's truncation of the
+    finest Haar level.  Diagnostic only, nothing asserted."""
     shallow_depth = args.depth - 2
     if shallow_depth < 2:
         print("depth-stability: depth too small to compare", file=sys.stderr)
@@ -345,6 +337,13 @@ def _depth_arg(lo: int, hi: int):
     return parse
 
 
+def _workers_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"workers must be nonnegative, got {value}")
+    return value
+
+
 def _out_path(text: str) -> str:
     """A CSV target in an existing writable directory, checked before any
     norm is computed."""
@@ -384,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=_out_path, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size; 0 forces serial execution")
+    p.add_argument("--workers", type=_workers_arg, default=None,
+                   help="process-pool size; 0, 1 or unset run in-process")
     p.add_argument("--depth-stability", action="store_true",
                    help="also recompute at depth-2 and report relative differences")
     p.set_defaults(func=cmd_sweep)

@@ -20,7 +20,6 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    averages,
     averaging_function,
     gather_left_child,
     subtree_sums,
@@ -168,12 +167,13 @@ def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float:
 
 def _kernel_block(grid: Grid, kind: str, size: int) -> np.ndarray:
     """table[L, J] = <shift h_J^1, h_L^1> for J and L among the first size
-    flat offsets: one shift and one averaging sweep give a whole column."""
+    flat offsets: one shift and the synthesis sweep of its output's average
+    tree give a whole column."""
     shift = HaarShift(grid, kind)
     table = np.empty((size, size))
     for j_idx in islice(grid.all_indices(), size):
         shifted = shift.apply(averaging_function(grid, j_idx))
-        table[:, j_idx.flat_offset] = averages(shifted).tree[:size]
+        table[:, j_idx.flat_offset] = shifted.averages.tree[:size]
     return table
 
 

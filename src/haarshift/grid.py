@@ -49,36 +49,34 @@ __all__ = [
 # --------------------------------------------------------------------------
 # arithmetic-operation tally (used to assert the O(2**n) sweep costs)
 
-_OP_TALLY: list | None = None
+class OperationCount:
+    """Number of elementwise arithmetic operations done by the tree sweeps."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = 0
+
+
+_COUNTER: OperationCount | None = None
 
 
 def _tally(n_ops: int) -> None:
-    if _OP_TALLY is not None:
-        _OP_TALLY[0] += n_ops
-
-
-class OperationCount:
-    """Mutable view of the number of elementwise arithmetic operations."""
-
-    def __init__(self, cell: list):
-        self._cell = cell
-
-    @property
-    def total(self) -> int:
-        return self._cell[0]
+    if _COUNTER is not None:
+        _COUNTER.total += n_ops
 
 
 @contextmanager
 def count_operations():
     """Count elementwise arithmetic done by the tree sweeps: analyze,
-    synthesize, averages, subtree sums and LeafFunction's lazy derivations."""
-    global _OP_TALLY
-    saved = _OP_TALLY
-    _OP_TALLY = [0]
+    synthesize, averages, subtree sums and LeafFunction's lazy derivations.
+    Only the innermost active counter counts."""
+    global _COUNTER
+    saved, _COUNTER = _COUNTER, OperationCount()
     try:
-        yield OperationCount(_OP_TALLY)
+        yield _COUNTER
     finally:
-        _OP_TALLY = saved
+        _COUNTER = saved
 
 
 # --------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_rows_identical_when_engine_operators_are_wrapped(monkeypatch):
     spec = WeightSpec("cascade", eps=0.5, seed=4)
 
     def rows(shift):
-        found, _ = cli.compute_norm_rows("cascade", 0.5, spec, 8, shift, 1e-9, 1)
+        found, _ = cli.compute_norm_rows(spec, 8, shift, 1e-9, 1)
         return [row.format() for row in found]
 
     untraced = {shift: rows(shift) for shift in ("identity", "half", "full")}
@@ -308,18 +308,25 @@ class _SerialPool:
 
 
 def test_sweep_pool_never_larger_than_job_count(monkeypatch):
-    monkeypatch.setattr("haarshift.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     params = [0.3, 0.5, 0.7]
     serial = sweep_rows("power", params, 3, "half", 1e-9, 1, workers=0)
     for workers in (64, 2, None, 1):
         assert sweep_rows("power", params, 3, "half", 1e-9, 1, workers) == serial
-    # a pool of one runs in-process: --workers 1, or unset on a 1-CPU host
-    default = min(os.cpu_count() or 1, 3)
-    assert _SerialPool.sizes == [3, 2] + ([default] if default > 1 else [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert sweep_rows("power", params, 3, "half", 1e-9, 1, None) == serial
-    assert _SerialPool.sizes == [3, 2] + ([default] if default > 1 else [])
+    # unset, 0 and 1 run in-process; a pool is asked for and has at most
+    # one process per point
+    assert _SerialPool.sizes == [3, 2]
+
+
+def test_sweep_negative_workers_usage_error(monkeypatch):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    code, _, err = _run(["sweep", "--family", "power", "--params", "0.3,0.5,0.7",
+                         "--depth", "3", "--workers", "-1"])
+    assert code == 2
+    assert "workers must be nonnegative" in err
+    assert _SerialPool.sizes == []
 
 
 def test_sweep_depth_stability_reports(tmp_path):

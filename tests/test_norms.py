@@ -22,7 +22,9 @@ from haarshift import (
     operator_norm,
     resolution_pieces,
     s_pi_sharp_ratio,
+    Weight,
     WeightSpec,
+    a2_characteristic,
     count_operations,
 )
 from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
@@ -343,12 +345,9 @@ def test_rows_match_lapack_within_their_bound(monkeypatch, depth):
     grid = Grid(depth)
     for spec in (WeightSpec("cascade", eps=0.6, seed=5), WeightSpec("power", alpha=0.5)):
         w = make_weight(spec, grid)
-        param = getattr(spec, cli.SWEEP_PARAM[spec.family])
         for shift in SHIFT_KINDS:
             results.clear()
-            rows, warnings = cli.compute_norm_rows(
-                spec.family, param, spec, depth, shift, 1e-9, 1
-            )
+            rows, warnings = cli.compute_norm_rows(spec, depth, shift, 1e-9, 1)
             assert warnings == []
             ops = resolution_pieces(w, shift)
             ops["M_conj"] = conjugated_shift(w, shift)
@@ -422,3 +421,29 @@ def test_engine_cost_per_step_pinned(shift):
             result = operator_norm(ops[label])
         assert result.converged, label
         assert tally.total <= cap * grid.leaf_count * result.iterations, label
+
+
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_refined_weight_keeps_its_norms(shift):
+    # a depth-4 weight embedded in finer grids is the same function, so
+    # every row and a2 agree from depth 5 on; the half and full shifts drop
+    # the finest Haar level, which at depth 4 is the weight's own finest
+    # level, so there the step from depth 4 to 5 moves some row
+    coarse = make_weight(WeightSpec("cascade", eps=0.6, seed=5), Grid(4)).w.values
+
+    def rows(depth):
+        w = Weight.from_values(Grid(depth), np.repeat(coarse, 2 ** (depth - 4)))
+        ops = resolution_pieces(w, shift)
+        ops["M_conj"] = conjugated_shift(w, shift)
+        found = {label: dense_norm(ops[label]) for label in Q_LABELS + ("M_conj",)}
+        found["a2"] = a2_characteristic(w)
+        return np.array(list(found.values()))
+
+    by_depth = {depth: rows(depth) for depth in range(4, 9)}
+    for depth in (6, 7, 8):
+        np.testing.assert_allclose(by_depth[depth], by_depth[5], rtol=1e-14, atol=0)
+    moved = np.max(np.abs(by_depth[4] - by_depth[5]) / by_depth[5])
+    if shift == "identity":
+        assert moved <= 1e-14
+    else:
+        assert moved > 1e-2
