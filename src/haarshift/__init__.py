@@ -25,7 +25,7 @@ from .grid import (
     delta_sign,
     gather_left_child,
     haar_function,
-    product_formula_coeff,
+    product_formula,
     subtree_sums,
     sum_interval_constants,
     synthesize,

@@ -30,7 +30,7 @@ from .grid import DyadicIndex, Grid
 from .norms import NormResult, exact_norm, operator_norm
 from .operators import Q_LABELS, SHIFT_KINDS, conjugated_shift, resolution_pieces
 from .verify import run_verification
-from .weights import WeightSpec, a2_characteristic, make_weight
+from .weights import FAMILIES, WeightSpec, a2_characteristic, make_weight
 
 __all__ = ["main", "CSV_HEADER", "TERM_ORDER", "SweepRow", "SlopeFit", "fit_slopes"]
 
@@ -42,9 +42,6 @@ MAX_KERNEL_DEPTH = 7
 FIT_MIN_A2 = 1.01
 FIT_MIN_NORM = 1e-10
 FIT_MIN_POINTS = 3
-# the WeightSpec field a sweep varies, per weight family; the seed is read
-# by cascade weights only
-SWEEP_PARAM = {"constant": "c", "power": "alpha", "cascade": "eps", "step": "a"}
 
 
 @dataclass(frozen=True)
@@ -83,14 +80,14 @@ def compute_norm_rows(
 ) -> tuple[list[SweepRow], list[str]]:
     """All eleven operator-norm rows for one weight; warnings for rows whose
     Lanczos residual bound did not meet tol (marked by ratio = NaN).  The
-    rows carry the spec's family and its swept parameter (SWEEP_PARAM).
+    rows carry the spec's family and its first (swept) parameter.
 
     Each norm is read from the operator's structure when exact_norm can,
     before any operator reaches operator_norm: a caller that wraps the
     operators it hands the engine (a tracing proxy) then gets the same
     rows."""
     family = spec.family
-    param = getattr(spec, SWEEP_PARAM[family])
+    param = getattr(spec, FAMILIES[family][0])
     grid = Grid(depth)
     w = make_weight(spec, grid)
     a2 = a2_characteristic(w)
@@ -128,8 +125,9 @@ def sweep_rows(
     """One norms block per parameter, emitted in deterministic (param, term)
     order.  The points run in this process unless workers >= 2 asks for a
     pool of min(workers, points) processes, which pays only when BLAS runs
-    one thread per process."""
-    specs = [WeightSpec(family, seed=seed, **{SWEEP_PARAM[family]: p}) for p in params]
+    one thread per process.  Each point sets the family's first parameter;
+    the seed is read by cascade weights only."""
+    specs = [WeightSpec(family, seed=seed, **{FAMILIES[family][0]: p}) for p in params]
     point = partial(compute_norm_rows, depth=depth, shift=shift, tol=tol, seed=seed)
     # the pool starts all max_workers processes at the first submit
     size = min(workers or 1, len(specs))
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("sweep", help="norms across a weight family")
-    p.add_argument("--family", choices=tuple(SWEEP_PARAM), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--params", required=True, help="comma-separated parameter list")
     p.add_argument("--depth", type=_depth_arg(2, MAX_NORM_DEPTH), required=True)
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")

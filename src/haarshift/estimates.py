@@ -127,22 +127,14 @@ def s_pi_sharp_ratio(
 # sequence norms and the embedding constant
 
 
-def _symbol_coeff(a) -> tuple[Grid, np.ndarray]:
-    if isinstance(a, HaarSymbol):
-        return a.grid, a.coeff
-    raise TypeError("expected a HaarSymbol")
-
-
 def ell_inf_norm(a: HaarSymbol) -> float:
-    _, coeff = _symbol_coeff(a)
-    return float(np.abs(coeff).max())
+    return float(np.abs(a.coeff).max())
 
 
 def cm_norm(a: HaarSymbol) -> float:
     """Carleson-measure norm: sqrt of the best uniform bound on
     (1/|I|) sum_{J inside I} a_J^2 over all dyadic I."""
-    grid, coeff = _symbol_coeff(a)
-    sums = subtree_sums(grid, coeff**2) * grid.tree_inv_lengths
+    sums = subtree_sums(a.grid, a.coeff**2) * a.grid.tree_inv_lengths
     return float(np.sqrt(sums.max()))
 
 

@@ -37,7 +37,7 @@ __all__ = [
     "synthesize",
     "averages",
     "delta_sign",
-    "product_formula_coeff",
+    "product_formula",
     "subtree_sums",
     "sum_interval_constants",
     "gather_left_child",
@@ -522,19 +522,21 @@ def delta_sign(J: DyadicIndex, I: DyadicIndex) -> int:
     return 1 if I.left.contains(J) else -1
 
 
-def product_formula_coeff(f: LeafFunction, g: LeafFunction, I: DyadicIndex) -> float:
-    """Haar coefficient of the pointwise product f*g at I, assembled from
-    the coefficients and averages of the factors:
+def product_formula(f: LeafFunction, g: LeafFunction) -> HaarSymbol:
+    """Haar coefficients and mean of the pointwise product f*g, assembled
+    from the coefficients and averages of the factors in one subtree sweep:
 
-        sum_{J strictly inside I} fhat(J) ghat(J) delta(J,I) / sqrt(|I|)
-          + fhat(I) <g>_I + ghat(I) <f>_I
+        (fg)^(I) = sum_{J strictly inside I} fhat(J) ghat(J) delta(J,I) / sqrt(|I|)
+                     + fhat(I) <g>_I + ghat(I) <f>_I
+        <fg> = <f><g> + sum_J fhat(J) ghat(J)
     """
     grid = f.grid
-    if I.level >= grid.depth:
-        raise ValueError(f"{I} is not Haar-bearing at depth {grid.depth}")
     fs, gs = f.symbol, g.symbol
     sub = subtree_sums(grid, fs.coeff * gs.coeff)
-    inner_sum = (sub[I.left.flat_offset] - sub[I.right.flat_offset]) * 2.0 ** (
-        I.level / 2
+    coeff = (
+        (sub[1::2] - sub[2::2]) * grid.haar_inv_sqrt_lengths
+        + fs.coeff * g.averages.haar_part
+        + gs.coeff * f.averages.haar_part
     )
-    return float(inner_sum + fs[I] * g.averages[I] + gs[I] * f.averages[I])
+    coeff.setflags(write=False)
+    return HaarSymbol(grid, coeff, fs.mean * gs.mean + float(sub[0]))

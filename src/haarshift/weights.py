@@ -9,7 +9,6 @@ conjugation identities can be tested at machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,14 @@ __all__ = [
     "disbalanced_data",
 ]
 
-FAMILIES = ("constant", "power", "cascade", "step")
+# each family's parameters, the one a sweep varies first: the spec grammar,
+# label() and the sweep's row parameter all read this table
+FAMILIES = {
+    "constant": ("c",),
+    "power": ("alpha",),
+    "cascade": ("eps", "seed"),
+    "step": ("a", "b", "split"),
+}
 
 # largest max(w)/min(w) accepted: past it the sweeps cancel (step weights,
 # depth 8: dense Q_00_00 off its closed form by 2e-14 at 1e20, 6e-6 at 1e28)
@@ -43,8 +49,8 @@ TINY = float(np.finfo(float).tiny)
 class WeightSpec:
     """Parameter bundle for one weight family.
 
-    Text form (CLI): ``constant:c=<real>``, ``power:alpha=<real>``,
-    ``cascade:eps=<real>,seed=<u64>``, ``step:a=<real>,b=<real>,split=<dyadic>``.
+    Text form (CLI): ``<family>:<name>=<value>,...`` with each name in
+    FAMILIES[family] exactly once, e.g. ``cascade:eps=0.4,seed=7``.
     """
 
     family: str
@@ -78,39 +84,34 @@ class WeightSpec:
 
     @classmethod
     def parse(cls, text: str) -> "WeightSpec":
-        """Parse the CLI grammar, e.g. ``cascade:eps=0.4,seed=7``."""
+        """Parse the CLI grammar, e.g. ``cascade:eps=0.4,seed=7``: each of
+        the family's parameters exactly once, and no other."""
         family, _, rest = text.partition(":")
         family = family.strip()
         if family not in FAMILIES:
             raise ValueError(f"unknown weight family {family!r} in {text!r}")
-        kwargs: dict = {}
-        if rest:
-            for item in rest.split(","):
-                key, sep, value = item.partition("=")
-                key = key.strip()
-                if not sep or key not in (
-                    "c",
-                    "alpha",
-                    "eps",
-                    "seed",
-                    "a",
-                    "b",
-                    "split",
-                ):
-                    raise ValueError(f"bad weight parameter {item!r} in {text!r}")
-                kwargs[key] = int(value) if key == "seed" else float(value)
-        spec = cls(family=family, **kwargs)
+        names = FAMILIES[family]
+        items = [item.partition("=") for item in rest.split(",")]
+        given = {key.strip(): value for key, sep, value in items if sep}
+        if len(given) != len(items) or sorted(given) != sorted(names):
+            raise ValueError(
+                f"weight spec {text!r} must set each {family} parameter "
+                f"({', '.join(names)}) exactly once, and no other"
+            )
+        spec = cls(
+            family,
+            **{k: int(v) if k == "seed" else float(v) for k, v in given.items()},
+        )
         spec.validate()
         return spec
 
     def label(self) -> str:
-        if self.family == "constant":
-            return f"constant:c={self.c:g}"
-        if self.family == "power":
-            return f"power:alpha={self.alpha:g}"
-        if self.family == "cascade":
-            return f"cascade:eps={self.eps:g},seed={self.seed}"
-        return f"step:a={self.a:g},b={self.b:g},split={self.split:g}"
+        """The spec in the CLI grammar: floats as :g, the seed as an integer."""
+        parts = []
+        for name in FAMILIES[self.family]:
+            value = getattr(self, name)
+            parts.append(f"{name}={value}" if name == "seed" else f"{name}={value:g}")
+        return f"{self.family}:" + ",".join(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +157,6 @@ class Weight:
         return Weight(
             w=self.w_inv, w_inv=self.w, w_half=self.w_inv_half, w_inv_half=self.w_half
         )
-
-    @cached_property
-    def a2(self) -> float:
-        return a2_characteristic(self)
 
 
 def make_weight(spec: WeightSpec, grid: Grid) -> Weight:

@@ -10,6 +10,7 @@ from haarshift import (
     averaging_function,
     delta_sign,
     haar_function,
+    subtree_sums,
 )
 from haarshift.norms import NormResult, _start_vector, lanczos_top
 from haarshift.operators import DyadicOperator
@@ -121,6 +122,21 @@ def explicit_paraproduct_matrix(
         scale = 1.0 if symbol is None else symbol[i.flat_offset]
         expected += scale * np.outer(placed, read)
     return expected / grid.leaf_count
+
+
+def product_formula_coeff(f, g, I) -> float:
+    """Haar coefficient of the pointwise product f*g at the one interval I,
+    with its own subtree sweep:
+
+        sum_{J strictly inside I} fhat(J) ghat(J) delta(J,I) / sqrt(|I|)
+          + fhat(I) <g>_I + ghat(I) <f>_I
+    """
+    fs, gs = f.symbol, g.symbol
+    sub = subtree_sums(f.grid, fs.coeff * gs.coeff)
+    inner_sum = (sub[I.left.flat_offset] - sub[I.right.flat_offset]) * 2.0 ** (
+        I.level / 2
+    )
+    return float(inner_sum + fs[I] * g.averages[I] + gs[I] * f.averages[I])
 
 
 def s_coefficient_walk(J) -> float:

@@ -4,9 +4,11 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from haarshift.cli import (
     main,
     sweep_rows,
 )
+from haarshift.verify import CheckResult, run_verification
 
 
 def _run(argv):
@@ -59,6 +62,24 @@ def test_verify_depth_one_is_usage_error():
 def test_verify_depth_cap():
     code, _, _ = _run(["verify", "--depth", "11", "--seed", "1"])
     assert code == 2
+    for depth in (1, 11):
+        with pytest.raises(ValueError, match="between 2 and 10"):
+            run_verification(depth, 1)
+
+
+def test_verify_failure_exits_one_and_names_the_failed_checks(monkeypatch):
+    import haarshift.cli as cli
+
+    results = [
+        CheckResult("parseval", 1e-16, 1e-12),
+        CheckResult("product_formula", 1.0, 1e-12),
+    ]
+    monkeypatch.setattr(cli, "run_verification", lambda depth, seed, tol: results)
+    code, out, _ = _run(["verify", "--depth", "4"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL  product_formula  max_err=1.000e+00  tol=1e-12"
+    assert lines[-2:] == ["1/2 checks passed", "failed checks: product_formula"]
 
 
 # -- norms -----------------------------------------------------------------
@@ -112,9 +133,25 @@ def test_norms_resolution_identity_at_cli_level():
     )
 
 
-def test_norms_invalid_spec_usage_error():
+def test_norms_invalid_spec_usage_error(tmp_path):
     code, _, err = _run(["norms", "--weight", "power:alpha=2", "--depth", "5"])
     assert code == 2
+    # each of the family's parameters exactly once: a missing, foreign or
+    # repeated one never falls back to a default
+    out_file = tmp_path / "rows.csv"
+    for spec, names in (
+        ("power", "alpha"),
+        ("power:a=0.5", "alpha"),
+        ("cascade:eps=0.4", "eps, seed"),
+        ("cascade:alpha=0.5", "eps, seed"),
+        ("power:alpha=0.5,seed=3", "alpha"),
+        ("power:alpha=0.5,alpha=0.9", "alpha"),
+    ):
+        argv = ["norms", "--weight", spec, "--depth", "5", "--out", str(out_file)]
+        code, out, err = _run(argv)
+        assert code == 2 and out == ""
+        assert f"parameter ({names}) exactly once" in err
+        assert not out_file.exists()
     code, _, _ = _run(["norms", "--weight", "blob:x=1", "--depth", "5"])
     assert code == 2
     # a step split must lie on the grid (non-dyadic at depth 4)
@@ -338,6 +375,53 @@ def test_sweep_depth_stability_reports(tmp_path):
     assert code == 0
     assert "depth-stability: depth 6 vs 4" in err
     assert err.count("rel_diff=") == 3 * len(TERM_ORDER)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--weight", "power:alpha=0.5"],
+        ["sweep", "--family", "power", "--params=0.3,0.5,0.7"],
+    ],
+)
+def test_rows_whose_bound_misses_tol_get_nan_ratio_and_a_warning(monkeypatch, argv):
+    import haarshift.cli as cli
+    from haarshift import norms
+
+    monkeypatch.setattr(
+        cli, "operator_norm", partial(norms.operator_norm, max_iter=2)
+    )
+    code, out, err = _run(argv + ["--depth", "8", "--tol", "1e-12"])
+    assert code == 0
+    rows = _parse_csv(out)
+    missed = {(r["param"], r["term"]) for r in rows if math.isnan(float(r["ratio"]))}
+    warned = set()
+    for line in err.splitlines():
+        match = re.fullmatch(
+            r"warning: (\S+) at power:(\S+) depth 8 did not converge after 2 "
+            r"Lanczos steps \(Ritz residual bound (\S+) relative, above tol 1e-12\)",
+            line,
+        )
+        if match:
+            assert float(match[3]) > 1e-12
+            warned.add((match[2], match[1]))
+    assert missed and missed == warned
+    exact = [r for r in rows if r["term"] in ("Q_00_00", "mean_cross")]
+    assert exact and all(math.isfinite(float(r["ratio"])) for r in exact)
+
+
+def test_write_atomic_removes_its_temp_file_when_the_rename_fails(
+    tmp_path, monkeypatch
+):
+    import haarshift.cli as cli
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._write_atomic(str(tmp_path / "rows.csv"), "text\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_row_nan_ratio_formats_parseable():

@@ -16,6 +16,7 @@ from haarshift import (
     LeafFunction,
     Weight,
     WeightSpec,
+    a2_characteristic,
     averages,
     averaging_function,
     carleson_embedding_constant,
@@ -206,6 +207,8 @@ def test_carleson_constant_rejects_negative_mass():
     alpha[3] = -0.5
     with pytest.raises(ValueError):
         carleson_embedding_constant(alpha, v)
+    with pytest.raises(ValueError, match="one entry per Haar-bearing"):
+        carleson_embedding_constant(np.zeros(grid.leaf_count), v)
 
 
 def test_embedding_factor_four():
@@ -340,6 +343,8 @@ def test_battery_flat_weight_all_zero():
     report = inequality_battery(w)
     for row in report.rows:
         assert row.c_emp == 0.0
+    with pytest.raises(KeyError):
+        report["no_such_row"]
 
 
 def test_battery_brute_force_row_maxima():
@@ -483,7 +488,7 @@ def test_disjoint_block_ratio_reported_across_powers():
     grid = Grid(6)
     for alpha in (0.3, 0.6, 0.9):
         w = make_weight(WeightSpec("power", alpha=alpha), grid)
-        ratio = disjoint_block_norm(w) / w.a2
+        ratio = disjoint_block_norm(w) / a2_characteristic(w)
         assert np.isfinite(ratio) and ratio >= 0.0
 
 

@@ -18,11 +18,12 @@ from haarshift import (
     count_operations,
     delta_sign,
     haar_function,
-    product_formula_coeff,
+    product_formula,
     subtree_sums,
     sum_interval_constants,
     synthesize,
 )
+from oracles import product_formula_coeff
 
 
 def _rand(grid, rng):
@@ -91,6 +92,9 @@ def test_haar_left_half_depth_two():
 def test_haar_rejects_leaf_level():
     with pytest.raises(ValueError):
         haar_function(Grid(3), DyadicIndex(3, 0))
+    averaging_function(Grid(3), DyadicIndex(3, 0))
+    with pytest.raises(ValueError, match="below the leaf level"):
+        averaging_function(Grid(3), DyadicIndex(4, 0))
 
 
 def test_gram_matrix_orthonormal():
@@ -227,10 +231,9 @@ def test_product_formula_constant_factor():
     rng = np.random.default_rng(2)
     g = _rand(grid, rng)
     one = LeafFunction.constant(grid, 1.0)
+    product = product_formula(one, g)
     for idx in grid.haar_indices():
-        assert product_formula_coeff(one, g, idx) == pytest.approx(
-            g.symbol[idx], abs=1e-13
-        )
+        assert product[idx] == pytest.approx(g.symbol[idx], abs=1e-13)
 
 
 def test_product_formula_matches_pointwise_product():
@@ -238,10 +241,20 @@ def test_product_formula_matches_pointwise_product():
     rng = np.random.default_rng(7)
     f, g = _rand(grid, rng), _rand(grid, rng)
     product = LeafFunction(grid, f.values * g.values).symbol
+    formula = product_formula(f, g)
     for idx in grid.haar_indices():
-        assert product_formula_coeff(f, g, idx) == pytest.approx(
-            product[idx], abs=1e-12
-        )
+        assert formula[idx] == pytest.approx(product[idx], abs=1e-12)
+    assert formula.mean == pytest.approx(product.mean, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 8, 10])
+def test_product_formula_equals_per_interval_oracle(depth):
+    # the one-sweep transform does each interval's arithmetic bit for bit
+    rng = np.random.default_rng(depth)
+    grid = Grid(depth)
+    f, g = _rand(grid, rng), _rand(grid, rng)
+    expected = [product_formula_coeff(f, g, idx) for idx in grid.haar_indices()]
+    assert np.array_equal(product_formula(f, g).coeff, expected)
 
 
 def test_product_formula_haar_square_has_no_self_coefficient():
@@ -249,14 +262,14 @@ def test_product_formula_haar_square_has_no_self_coefficient():
     grid = Grid(4)
     k = DyadicIndex(1, 1)
     h = haar_function(grid, k)
-    assert product_formula_coeff(h, h, k) == pytest.approx(0.0, abs=1e-14)
+    assert product_formula(h, h)[k] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_product_formula_rejects_leaf_level():
     grid = Grid(3)
     f = LeafFunction.constant(grid, 1.0)
     with pytest.raises(ValueError):
-        product_formula_coeff(f, f, DyadicIndex(3, 1))
+        product_formula(f, f)[DyadicIndex(3, 1)]
 
 
 def test_subtree_sums_brute_force():
@@ -278,6 +291,8 @@ def test_leaf_function_immutable():
     f = LeafFunction.constant(grid, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+    with pytest.raises(AttributeError, match="cannot delete"):
+        del f.values
 
 
 def test_synthesize_rejects_wrong_size():

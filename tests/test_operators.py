@@ -89,6 +89,19 @@ def test_paraproducts_match_dense_matrices():
             assert np.abs(op.adjoint_apply(f).values - mat.T @ f.values).max() < 1e-12
 
 
+def test_paraproduct_rejects_bad_arguments():
+    grid = Grid(3)
+    ones, wrong = np.ones(grid.haar_size), np.ones(grid.leaf_count)
+    with pytest.raises(ValueError, match="unknown paraproduct kind"):
+        Paraproduct(grid, ones, "02")
+    with pytest.raises(ValueError, match="unknown shift kind"):
+        Paraproduct(grid, ones, "00", shift="quarter")
+    with pytest.raises(ValueError, match="one entry per Haar-bearing"):
+        Paraproduct(grid, wrong, "00")
+    with pytest.raises(ValueError, match="one entry per Haar-bearing"):
+        Paraproduct(grid, ones, "00", shift="half", outer=wrong)
+
+
 def test_paraproduct_dense_matrix_brute_force():
     # entry-by-entry against the defining sum over Haar-bearing intervals
     grid = Grid(4)

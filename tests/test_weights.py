@@ -73,6 +73,11 @@ def test_parameter_validation():
         make_weight(WeightSpec("step", a=-2.0, b=1.0), Grid(3))
     with pytest.raises(ValueError):
         make_weight(WeightSpec("constant", c=0.0), Grid(3))
+    with pytest.raises(ValueError, match="seed must be a nonnegative"):
+        make_weight(WeightSpec("cascade", eps=0.3, seed=-1), Grid(3))
+    for split in (-0.25, 1.5):
+        with pytest.raises(ValueError, match=r"split must lie in \[0, 1\]"):
+            make_weight(WeightSpec("step", a=2.0, b=1.0, split=split), Grid(3))
     with pytest.raises(ValueError):
         WeightSpec("gaussian")
     with pytest.raises(ValueError):
@@ -85,12 +90,30 @@ def test_spec_parse_round_trip():
         "power:alpha=-0.7",
         "cascade:eps=0.4,seed=11",
         "step:a=4,b=1,split=0.25",
+        "cascade:eps=0.4,seed=123456789",
     ):
         spec = WeightSpec.parse(text)
+        assert spec.label() == text
         again = WeightSpec.parse(spec.label())
         assert spec == again
-    with pytest.raises(ValueError):
-        WeightSpec.parse("power:beta=0.5")
+    # each of the family's parameters exactly once, in any order
+    assert WeightSpec.parse("cascade:seed=3,eps=0.4") == WeightSpec.parse(
+        "cascade:eps=0.4,seed=3"
+    )
+    for text, names in (
+        ("power:beta=0.5", "alpha"),
+        ("power", "alpha"),
+        ("power:a=0.5", "alpha"),
+        ("power:alpha", "alpha"),
+        ("power:alpha=0.5,", "alpha"),
+        ("cascade:eps=0.4", "eps, seed"),
+        ("cascade:alpha=0.5", "eps, seed"),
+        ("power:alpha=0.5,seed=3", "alpha"),
+        ("power:alpha=0.5,alpha=0.9", "alpha"),
+        ("step:a=4,b=1", "a, b, split"),
+    ):
+        with pytest.raises(ValueError, match=f"parameter \\({names}\\) exactly once"):
+            WeightSpec.parse(text)
     with pytest.raises(ValueError):
         WeightSpec.parse("nope:c=1")
 
