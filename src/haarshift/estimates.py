@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    averaging_function,
     gather_left_child,
     subtree_sums,
     sum_interval_constants,
@@ -157,15 +155,33 @@ def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float:
 # the shifted averaging kernel: table, nested-pair closed form, disjoint block
 
 
+# the kernel table shifts its atoms in blocks of at most this many leaf
+# entries: 16 atoms at depth 8, 4 at depth 10, so the same memory at any depth
+KERNEL_BLOCK_ENTRIES = 4096
+
+
+def _atom_block(grid: Grid, offsets: np.ndarray) -> LeafFunction:
+    """The averaging atoms h_J^1 = |J|^{-1} 1_J at these flat offsets as the
+    columns of one block, each equal to averaging_function(grid, J)."""
+    levels = np.frexp(offsets + 1)[1] - 1
+    positions = offsets + 1 - np.left_shift(1, levels)
+    leaves = np.arange(grid.leaf_count)[:, None]
+    inside = (leaves >> (grid.depth - levels)) == positions
+    return LeafFunction(grid, np.where(inside, 2.0**levels, 0.0))
+
+
 def _kernel_block(grid: Grid, kind: str, size: int) -> np.ndarray:
     """table[L, J] = <shift h_J^1, h_L^1> for J and L among the first size
-    flat offsets: one shift and the synthesis sweep of its output's average
-    tree give a whole column."""
+    flat offsets: one shift of a block of atoms and the synthesis sweep of
+    its output's average tree give a block of columns."""
     shift = HaarShift(grid, kind)
     table = np.empty((size, size))
-    for j_idx in islice(grid.all_indices(), size):
-        shifted = shift.apply(averaging_function(grid, j_idx))
-        table[:, j_idx.flat_offset] = shifted.averages.tree[:size]
+    width = max(1, KERNEL_BLOCK_ENTRIES // grid.leaf_count)
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        shifted = shift.apply(_atom_block(grid, np.arange(start, stop)))
+        table[:, start:stop] = shifted.averages.tree[:size]
+        del shifted  # let the next block's sweeps reuse its memory
     return table
 
 

@@ -73,11 +73,17 @@ def _column_inner(f: LeafFunction, g: LeafFunction) -> np.ndarray:
 
 
 def _check_orthonormality(grid: Grid) -> float:
-    vectors = [LeafFunction.constant(grid, 1.0)]
-    vectors += [haar_function(grid, idx) for idx in grid.haar_indices()]
-    mat = np.stack([v.values for v in vectors])
-    gram = mat @ mat.T / grid.leaf_count
-    return float(np.abs(gram - np.eye(len(vectors))).max())
+    """Worst entry of |Gram - I| over the constant and every Haar function.
+    The Gram matrix is reduced in place, so only two square matrices live."""
+    n = grid.leaf_count
+    mat = np.empty((n, n))
+    mat[0] = LeafFunction.constant(grid, 1.0).values
+    for row, idx in enumerate(grid.haar_indices(), start=1):
+        mat[row] = haar_function(grid, idx).values
+    gram = mat @ mat.T
+    gram /= n
+    gram.flat[:: n + 1] -= 1.0
+    return float(np.abs(gram, out=gram).max())
 
 
 def _check_parseval(grid: Grid, rng) -> float:

@@ -1,10 +1,12 @@
 """Shared independent oracles for the test suite."""
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from haarshift import (
+    HaarShift,
     LeafFunction,
     Weight,
     averaging_function,
@@ -61,6 +63,17 @@ def materialize_by_columns(op: DyadicOperator) -> np.ndarray:
         mat[:, j] = op.apply(LeafFunction(op.grid, basis)).values
         basis[j] = 0.0
     return mat
+
+
+def kernel_table_by_columns(grid, kind: str, size: int) -> np.ndarray:
+    """table[L, J] = <shift h_J^1, h_L^1> over the first size flat offsets,
+    one shift of averaging_function(grid, J) per column."""
+    shift = HaarShift(grid, kind)
+    table = np.empty((size, size))
+    for j_idx in islice(grid.all_indices(), size):
+        shifted = shift.apply(averaging_function(grid, j_idx))
+        table[:, j_idx.flat_offset] = shifted.averages.tree[:size]
+    return table
 
 
 def dense_sharp_ratio(w: Weight) -> float:

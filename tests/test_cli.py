@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
@@ -22,7 +23,9 @@ from haarshift.cli import (
     main,
     sweep_rows,
 )
-from haarshift.verify import CheckResult, run_verification
+from haarshift import Grid, shift_kernel_table
+from haarshift.estimates import KERNEL_BLOCK_ENTRIES
+from haarshift.verify import CheckResult, _check_orthonormality, run_verification
 
 
 def _run(argv):
@@ -80,6 +83,35 @@ def test_verify_failure_exits_one_and_names_the_failed_checks(monkeypatch):
     lines = out.splitlines()
     assert lines[1] == "FAIL  product_formula  max_err=1.000e+00  tol=1e-12"
     assert lines[-2:] == ["1/2 checks passed", "failed checks: product_formula"]
+
+
+def _traced_peak(fn, *args):
+    """tracemalloc peak of one call, after a first call warms lazy caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_kernel_table_peaks_a_few_blocks_above_the_table():
+    # the atoms are shifted in blocks of KERNEL_BLOCK_ENTRIES leaf entries
+    # (about 6 blocks' bytes of temporaries); one block of all 511 atoms
+    # would peak MiBs above the table
+    grid = Grid(8)
+    table_bytes = grid.tree_size**2 * 8
+    peak = _traced_peak(shift_kernel_table, grid, "half")
+    assert peak <= table_bytes + 10 * (KERNEL_BLOCK_ENTRIES * 8)
+
+
+def test_verify_orthonormality_holds_two_square_matrices():
+    # the Haar functions as rows and their Gram matrix, reduced in place:
+    # no list of leaf functions, stacked copy, identity or difference
+    grid = Grid(8)
+    square_bytes = grid.leaf_count**2 * 8
+    assert _traced_peak(_check_orthonormality, grid) <= 2.5 * square_bytes
 
 
 # -- norms -----------------------------------------------------------------

@@ -37,8 +37,10 @@ from haarshift import (
     shift_kernel_table,
     synthesize,
 )
+from haarshift import estimates
 from oracles import (
     explicit_paraproduct_matrix,
+    kernel_table_by_columns,
     materialize_by_columns,
     nested_kernel_walk,
     s_coefficient_walk,
@@ -562,6 +564,28 @@ def test_kernel_constant_in_l_for_right_children_and_root():
                 assert table[l.flat_offset, j.flat_offset] == pytest.approx(
                     s[j.flat_offset], abs=1e-12
                 )
+
+
+def test_kernel_table_equals_one_atom_at_a_time_bit_for_bit():
+    # at depth 8 a block holds 16 atoms: the 511 table columns end on a
+    # short block of 15, and so do the 255 Haar columns of the disjoint block
+    for depth in range(1, 9):
+        grid = Grid(depth)
+        for kind in SHIFT_KINDS:
+            for size in (grid.tree_size, grid.haar_size):
+                expected = kernel_table_by_columns(grid, kind, size)
+                got = estimates._kernel_block(grid, kind, size)
+                assert np.array_equal(got, expected), (depth, kind, size)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 512])
+def test_kernel_table_bit_identical_at_any_block_width(monkeypatch, width):
+    # 512 atoms hold the whole depth-7 table in one block
+    grid = Grid(7)
+    monkeypatch.setattr(estimates, "KERNEL_BLOCK_ENTRIES", width * grid.leaf_count)
+    for kind in SHIFT_KINDS:
+        expected = kernel_table_by_columns(grid, kind, grid.tree_size)
+        assert np.array_equal(shift_kernel_table(grid, kind), expected), kind
 
 
 def test_s_coefficient_examples():
