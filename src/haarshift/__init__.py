@@ -8,7 +8,8 @@ Core layers:
 - norms: exact norms from operator structure, matrix-free Lanczos norms,
   and a dense LAPACK oracle
 - estimates: square functions, Carleson embedding, corona, inequality battery,
-  the shifted averaging kernel and its closed form
+  the shifted averaging kernel with its closed forms on every comparable pair,
+  and the norm of its disjoint-pair block, matrix-free through the engine
 - cli: verification suite, norm sweeps, reports
 """
 
@@ -22,7 +23,6 @@ from .grid import (
     averages,
     averaging_function,
     count_operations,
-    delta_sign,
     gather_left_child,
     haar_function,
     product_formula,
@@ -36,7 +36,6 @@ from .weights import (
     a2_characteristic,
     disbalanced_data,
     make_weight,
-    weighted_average,
 )
 from .operators import (
     Q_LABELS,
@@ -72,7 +71,6 @@ from .estimates import (
     corona,
     corona_members,
     corona_sum,
-    disjoint_block_matrix,
     disjoint_block_norm,
     ell_inf_norm,
     inequality_battery,

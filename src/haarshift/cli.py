@@ -246,34 +246,7 @@ def cmd_sweep(args) -> int:
         )
     for notice in notices:
         print(notice, file=fit_stream)
-    if args.depth_stability:
-        _depth_stability_report(args, params, rows)
     return 0
-
-
-def _depth_stability_report(args, params: list[float], rows: list[SweepRow]) -> None:
-    """Recompute at depth-2 and report relative norm differences; these mix
-    the weight's two finest generations with the shift's truncation of the
-    finest Haar level.  Diagnostic only, nothing asserted."""
-    shallow_depth = args.depth - 2
-    if shallow_depth < 2:
-        print("depth-stability: depth too small to compare", file=sys.stderr)
-        return
-    shallow, _ = sweep_rows(
-        args.family, params, shallow_depth, args.shift, args.tol, args.seed,
-        args.workers,
-    )
-    by_key = {(r.param, r.term): r for r in shallow}
-    print(f"depth-stability: depth {args.depth} vs {shallow_depth}", file=sys.stderr)
-    for row in rows:
-        other = by_key[(row.param, row.term)]
-        base = max(row.norm, 1e-300)
-        rel = abs(row.norm - other.norm) / base
-        print(
-            f"depth-stability: {row.term} param={_fmt(row.param)} "
-            f"rel_diff={rel:.3e}",
-            file=sys.stderr,
-        )
 
 
 def cmd_battery(args) -> int:
@@ -313,10 +286,11 @@ def cmd_kernel(args) -> int:
             pair = (j_idx.flat_offset, l_idx.flat_offset)
             closed_text = _fmt(closed[pair]) if pair in closed else "-"
             print(f"{j_idx}  {l_idx}  {_fmt(value)}  {closed_text}")
-    error, excess = shift_kernel_errors(grid, table)
+    error, containing, excess = shift_kernel_errors(grid, table)
     print(f"max |kernel - closed form| over nested pairs: {error:.3e}")
+    print(f"max |kernel - s(L)| over J inside or equal to L: {containing:.3e}")
     print(f"ancestor-sum bound sqrt(2)/|J|: {'PASS' if excess == 0.0 else 'FAIL'}")
-    return 0 if error < 1e-10 and excess == 0.0 else 1
+    return 0 if max(error, containing) < 1e-10 and excess == 0.0 else 1
 
 
 # --------------------------------------------------------------------------
@@ -383,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--workers", type=_workers_arg, default=None,
                    help="process-pool size; 0, 1 or unset run in-process")
-    p.add_argument("--depth-stability", action="store_true",
-                   help="also recompute at depth-2 and report relative differences")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("battery", help="weighted Carleson-sum inequality battery")

@@ -1,7 +1,7 @@
 """Square functions, sequence norms, Carleson embedding constants, the
 stopping-time corona construction, the shifted averaging kernel with its
-nested-pair closed form and disjoint block, and the battery of weighted
-Carleson-sum inequalities.
+closed forms on comparable pairs and its matrix-free disjoint-pair block,
+and the battery of weighted Carleson-sum inequalities.
 
 Empirical constants are exact maxima over the finite grid, never sampled.
 """
@@ -19,13 +19,14 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
+    _tally,
+    as_column,
     gather_left_child,
     subtree_sums,
     sum_interval_constants,
 )
-from .norms import DEFAULT_MAX_ITER, DENSE_DEPTH_CAP, ConvergenceError, lanczos_top
-from .norms import _dot, _top_singular_value
-from .operators import HaarShift, Paraproduct
+from .norms import DEFAULT_MAX_ITER, ConvergenceError, _dot, lanczos_top, operator_norm
+from .operators import DyadicOperator, HaarShift, Paraproduct
 from .weights import Weight
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "inequality_battery",
     "BATTERY_ROW_LABELS",
     "BATTERY_A2_POWERS",
-    "disjoint_block_matrix",
     "disjoint_block_norm",
 ]
 
@@ -170,30 +170,26 @@ def _atom_block(grid: Grid, offsets: np.ndarray) -> LeafFunction:
     return LeafFunction(grid, np.where(inside, 2.0**levels, 0.0))
 
 
-def _kernel_block(grid: Grid, kind: str, size: int) -> np.ndarray:
-    """table[L, J] = <shift h_J^1, h_L^1> for J and L among the first size
-    flat offsets: one shift of a block of atoms and the synthesis sweep of
-    its output's average tree give a block of columns."""
-    shift = HaarShift(grid, kind)
-    table = np.empty((size, size))
-    width = max(1, KERNEL_BLOCK_ENTRIES // grid.leaf_count)
-    for start in range(0, size, width):
-        stop = min(start + width, size)
-        shifted = shift.apply(_atom_block(grid, np.arange(start, stop)))
-        table[:, start:stop] = shifted.averages.tree[:size]
-        del shifted  # let the next block's sweeps reuse its memory
-    return table
-
-
 def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
     """table[L, J] = <shift h_J^1, h_L^1> for every pair of intervals, rows
     and columns at flat offsets over levels 0..depth.
 
     Computed by expanding h_J^1 in the Haar-plus-mean basis, shifting, and
     pairing (not by a closed formula), so it checks the closed forms below.
-    Covers nested, equal, and disjoint configurations.
+    Covers nested, equal, and disjoint configurations.  One shift of a block
+    of atoms and the synthesis sweep of its output's average tree give a
+    block of columns.
     """
-    return _kernel_block(grid, kind, grid.tree_size)
+    shift = HaarShift(grid, kind)
+    size = grid.tree_size
+    table = np.empty((size, size))
+    width = max(1, KERNEL_BLOCK_ENTRIES // grid.leaf_count)
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        shifted = shift.apply(_atom_block(grid, np.arange(start, stop)))
+        table[:, start:stop] = shifted.averages.tree
+        del shifted  # let the next block's sweeps reuse its memory
+    return table
 
 
 def s_coefficients(grid: Grid) -> np.ndarray:
@@ -238,44 +234,96 @@ def nested_kernel_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.concatenate(js), np.concatenate(ls), np.concatenate(values)
 
 
-def shift_kernel_errors(grid: Grid, table: np.ndarray) -> tuple[float, float]:
-    """Check a half-shift kernel table against the nested-pair closed form:
-    the worst |table[L, J] - closed form| over nested pairs, and the worst
-    excess of |s(J)| over its bound sqrt(2)/|J| (0.0 when the bound holds
-    everywhere up to 1e-12)."""
+def shift_kernel_errors(grid: Grid, table: np.ndarray) -> tuple[float, float, float]:
+    """Check a half-shift kernel table against the closed forms on every
+    comparable pair: the worst |table[L, J] - closed form| over nested pairs
+    L inside J; the worst |table[L, J] - s(L)| over L = J and J inside L;
+    and the worst excess of |s(J)| over its bound sqrt(2)/|J| (0.0 when the
+    bound holds everywhere up to 1e-12)."""
     j, l, closed = nested_kernel_pairs(grid)
     error = float(np.abs(table[l, j] - closed).max())
-    magnitude = np.abs(s_coefficients(grid))
+    s = s_coefficients(grid)
+    # the nested pairs transposed put the larger interval in the row
+    containing = max(np.abs(table[j, l] - s[j]).max(), np.abs(np.diag(table) - s).max())
+    magnitude = np.abs(s)
     bound = math.sqrt(2.0) * grid.tree_inv_lengths
     excess = (magnitude - bound)[magnitude > bound + 1e-12]
-    return error, float(excess.max(initial=0.0))
+    return error, float(containing), float(excess.max(initial=0.0))
 
 
-def disjoint_block_matrix(w: Weight) -> np.ndarray:
-    """Matrix A[L, J] = what(L) <S h_J^1, h_L^1> winvhat(J) over disjoint
-    Haar pairs (half shift), acting on Haar coefficient vectors."""
-    grid = w.grid
-    size = grid.haar_size
-    kernel = _kernel_block(grid, "half", size)
-    # disjoint: neither equal nor nested
-    disjoint = ~np.eye(size, dtype=bool)
-    j, l, _ = nested_kernel_pairs(grid)
-    j, l = j[l < size], l[l < size]
-    disjoint[j, l] = disjoint[l, j] = False
-    hat_half = w.w_half.symbol.coeff
-    hat_inv_half = w.w_inv_half.symbol.coeff
-    return np.where(
-        disjoint, hat_half[:, None] * kernel * hat_inv_half[None, :], 0.0
-    )
+def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out_L = sum over Haar-bearing J strictly containing L of left_J or
+    right_J, as L lies in the left or right child of J: one downward sweep."""
+    out = np.zeros(left.shape)
+    for lev in range(grid.depth - 1):
+        level = grid.level_slice(lev)
+        parent, child = out[level], out[grid.level_slice(lev + 1)]
+        np.add(parent, left[level], out=child[0::2])
+        np.add(parent, right[level], out=child[1::2])
+        _tally(2 * parent.size)
+    return out
+
+
+class _DisjointBlock(DyadicOperator):
+    """The disjoint-pair block A[L, J] = what(L) <S h_J^1, h_L^1> vhat(J)
+    over Haar pairs where neither interval contains the other (half shift),
+    what and vhat the Haar coefficients of w^{1/2} and w^{-1/2}, reading and
+    emitting Haar coefficients.  A u = what (K x - C x) with x = vhat u: the
+    whole kernel K is one shift of the atoms-born sum_J x_J h_J^1 read as
+    averages; its comparable pairs C take their closed forms, s(J) plus the
+    boundary term on L inside J (nested_kernel_pairs) and s(L) on J inside
+    or equal to L, in one subtree sum and one ancestor sweep.  The adjoint
+    runs the adjoint shift and the transposed sweeps."""
+
+    label = "disjoint_block"
+    annihilates_constants = True
+
+    def __init__(self, w: Weight):
+        super().__init__(w.grid)
+        grid = self.grid
+        self.shift = HaarShift(grid, "half")
+        self.outer, self.inner = w.w_half.symbol.coeff, w.w_inv_half.symbol.coeff
+        self.s = s_coefficients(grid)[: grid.haar_size]
+        # sqrt(2) / |pi J| on each left child J (odd offsets), else 0
+        left_child = np.arange(grid.haar_size) % 2 == 1
+        self.boundary = left_child * (math.sqrt(0.5) * grid.haar_inv_lengths)
+
+    def _block(
+        self, f: LeafFunction, first: np.ndarray, last: np.ndarray, transposed: bool
+    ) -> LeafFunction:
+        grid = self.grid
+        u = f.symbol.coeff
+        x = as_column(first, u) * u
+        shift = self.shift.adjoint_apply if transposed else self.shift.apply
+        inside = subtree_sums(grid, x)
+        s, boundary = as_column(self.s, x), as_column(self.boundary, x)
+        kernel = shift(LeafFunction.from_atoms(grid, x)).averages.haar_part
+        y = kernel - s * inside[: grid.haar_size]
+        sx = s * x
+        if transposed:
+            y -= _ancestor_sums(grid, sx, sx) + boundary * (inside[1::2] - inside[2::2])
+        else:
+            y -= _ancestor_sums(grid, sx + boundary * x, sx - boundary * x)
+        y *= as_column(last, y)
+        mean = 0.0 if y.ndim == 1 else np.zeros(y.shape[1])
+        return LeafFunction.from_symbol(HaarSymbol(grid, y, mean))
+
+    def apply(self, f: LeafFunction) -> LeafFunction:
+        return self._block(f, self.inner, self.outer, transposed=False)
+
+    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
+        return self._block(f, self.outer, self.inner, transposed=True)
 
 
 def disjoint_block_norm(w: Weight) -> float:
-    """Operator norm of the disjoint-support block: the top singular value
-    of its matrix (the Haar basis is orthonormal).  Dense only, as no fast
-    apply exists for this kernel; capped at the dense-oracle depth."""
-    if w.grid.depth > DENSE_DEPTH_CAP:
-        raise ValueError(f"disjoint block norm capped at depth {DENSE_DEPTH_CAP}")
-    return _top_singular_value(disjoint_block_matrix(w))
+    """Operator norm of the disjoint-pair block (the Haar basis is
+    orthonormal), by the norm engine on its matrix-free apply at any depth.
+    Raises ConvergenceError if Lanczos misses its residual bound."""
+    result = operator_norm(_DisjointBlock(w))
+    if not result.converged:
+        message = "disjoint-block Lanczos did not meet its residual bound"
+        raise ConvergenceError(message, result.value, result.residual)
+    return result.value
 
 
 # --------------------------------------------------------------------------

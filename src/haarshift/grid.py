@@ -36,7 +36,6 @@ __all__ = [
     "analyze",
     "synthesize",
     "averages",
-    "delta_sign",
     "product_formula",
     "subtree_sums",
     "sum_interval_constants",
@@ -115,10 +114,6 @@ class DyadicIndex:
         if self.level == 0:
             raise ValueError("root interval has no parent")
         return DyadicIndex(self.level - 1, self.position >> 1)
-
-    @property
-    def is_left_child(self) -> bool:
-        return self.level >= 1 and self.position % 2 == 0
 
     @property
     def flat_offset(self) -> int:
@@ -489,7 +484,7 @@ def gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Haar atoms, sign convention, product formula
+# Haar atoms and the product formula
 
 
 def haar_function(grid: Grid, index: DyadicIndex) -> LeafFunction:
@@ -515,13 +510,6 @@ def averaging_function(grid: Grid, index: DyadicIndex) -> LeafFunction:
     return LeafFunction(grid, vals)
 
 
-def delta_sign(J: DyadicIndex, I: DyadicIndex) -> int:
-    """+1 if J lies in the left child of I, -1 if in the right, else 0."""
-    if not I.strictly_contains(J):
-        return 0
-    return 1 if I.left.contains(J) else -1
-
-
 def product_formula(f: LeafFunction, g: LeafFunction) -> HaarSymbol:
     """Haar coefficients and mean of the pointwise product f*g, assembled
     from the coefficients and averages of the factors in one subtree sweep:
@@ -529,6 +517,8 @@ def product_formula(f: LeafFunction, g: LeafFunction) -> HaarSymbol:
         (fg)^(I) = sum_{J strictly inside I} fhat(J) ghat(J) delta(J,I) / sqrt(|I|)
                      + fhat(I) <g>_I + ghat(I) <f>_I
         <fg> = <f><g> + sum_J fhat(J) ghat(J)
+
+    with delta(J, I) = +1 for J inside the left child of I, -1 inside the right.
     """
     grid = f.grid
     fs, gs = f.symbol, g.symbol

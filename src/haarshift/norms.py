@@ -246,17 +246,13 @@ def materialize(op: DyadicOperator) -> np.ndarray:
     return op.apply(LeafFunction(op.grid, np.eye(op.grid.leaf_count))).values
 
 
-def _top_singular_value(mat: np.ndarray) -> float:
-    """Top singular value: the root of the top LAPACK eigenvalue of mat^T mat."""
-    return math.sqrt(max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0))
-
-
 def dense_norm(op: DyadicOperator) -> float:
     """Oracle operator norm: the top singular value of the materialized
-    matrix from LAPACK.  It shares no code with the exact path, and only
-    LAPACK's symmetric eigensolver with the Lanczos iteration it checks,
-    which that applies to T_k rather than M^T M.  Capped at depth 10
-    (memory)."""
+    matrix M, the root of the top LAPACK eigenvalue of M^T M.  It shares no
+    code with the exact path, and only LAPACK's symmetric eigensolver with
+    the Lanczos iteration it checks, which that applies to T_k rather than
+    M^T M.  Capped at depth 10 (memory)."""
     if op.grid.depth > DENSE_DEPTH_CAP:
         raise ValueError(f"dense norm capped at depth {DENSE_DEPTH_CAP}")
-    return _top_singular_value(materialize(op))
+    mat = materialize(op)
+    return math.sqrt(max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0))

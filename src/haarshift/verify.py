@@ -193,8 +193,8 @@ def _check_norm_engine_agreement(rng, seed: int, tol: float) -> float:
 
 
 def _check_shift_kernel(grid: Grid) -> float:
-    """Nested pairs against the exact closed form and the bound on s(J),
-    plus the pinned disjoint and brother-pair values, read from the
+    """Every comparable pair against its closed form and the bound on
+    s(J), plus the pinned disjoint and brother-pair values, read from the
     half-shift kernel table."""
     table = shift_kernel_table(grid, "half")
 

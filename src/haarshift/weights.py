@@ -25,7 +25,6 @@ __all__ = [
     "Weight",
     "make_weight",
     "a2_characteristic",
-    "weighted_average",
     "disbalanced_data",
 ]
 
@@ -212,13 +211,6 @@ def a2_characteristic(weight: Weight) -> float:
     # Cauchy-Schwarz gives <w>_I <1/w>_I >= 1 on every I; rounding of a
     # constant weight can land one ulp below
     return max(1.0, float(prod.max()))
-
-
-def weighted_average(f: LeafFunction, sigma: Weight, K: DyadicIndex) -> float:
-    """E_K^sigma(f) = (1/sigma(K)) * integral of f*sigma over K."""
-    start, stop = K.leaf_range(sigma.grid.depth)
-    sig = sigma.w.values[start:stop]
-    return float((f.values[start:stop] * sig).sum() / sig.sum())
 
 
 def disbalanced_data(

@@ -1,21 +1,40 @@
 """Shared independent oracles for the test suite."""
 
 import math
-from itertools import islice
 
 import numpy as np
 
 from haarshift import (
+    DyadicIndex,
     HaarShift,
     LeafFunction,
     Weight,
     averaging_function,
-    delta_sign,
     haar_function,
+    nested_kernel_pairs,
+    shift_kernel_table,
     subtree_sums,
 )
 from haarshift.norms import NormResult, _start_vector, lanczos_top
 from haarshift.operators import DyadicOperator
+
+
+def is_left_child(index: DyadicIndex) -> bool:
+    return index.level >= 1 and index.position % 2 == 0
+
+
+def delta_sign(J: DyadicIndex, I: DyadicIndex) -> int:
+    """+1 if J lies in the left child of I, -1 if in the right, else 0."""
+    if not I.strictly_contains(J):
+        return 0
+    return 1 if I.left.contains(J) else -1
+
+
+def weighted_average(f: LeafFunction, sigma: Weight, K: DyadicIndex) -> float:
+    """E_K^sigma(f) = (1/sigma(K)) * integral of f*sigma over K."""
+    start, stop = K.leaf_range(sigma.grid.depth)
+    sig = sigma.w.values[start:stop]
+    return float((f.values[start:stop] * sig).sum() / sig.sum())
 
 
 class OpaqueOperator(DyadicOperator):
@@ -65,15 +84,35 @@ def materialize_by_columns(op: DyadicOperator) -> np.ndarray:
     return mat
 
 
-def kernel_table_by_columns(grid, kind: str, size: int) -> np.ndarray:
-    """table[L, J] = <shift h_J^1, h_L^1> over the first size flat offsets,
-    one shift of averaging_function(grid, J) per column."""
+def kernel_table_by_columns(grid, kind: str) -> np.ndarray:
+    """table[L, J] = <shift h_J^1, h_L^1> over every flat offset, one shift
+    of averaging_function(grid, J) per column."""
     shift = HaarShift(grid, kind)
-    table = np.empty((size, size))
-    for j_idx in islice(grid.all_indices(), size):
+    table = np.empty((grid.tree_size, grid.tree_size))
+    for j_idx in grid.all_indices():
         shifted = shift.apply(averaging_function(grid, j_idx))
-        table[:, j_idx.flat_offset] = shifted.averages.tree[:size]
+        table[:, j_idx.flat_offset] = shifted.averages.tree
     return table
+
+
+def disjoint_block_matrix(w: Weight) -> np.ndarray:
+    """Dense matrix A[L, J] = what(L) <S h_J^1, h_L^1> winvhat(J) over
+    disjoint Haar pairs (half shift), acting on Haar coefficient vectors:
+    the kernel table's Haar block times a mask that drops equal and nested
+    pairs."""
+    grid = w.grid
+    size = grid.haar_size
+    kernel = shift_kernel_table(grid, "half")[:size, :size]
+    # disjoint: neither equal nor nested
+    disjoint = ~np.eye(size, dtype=bool)
+    j, l, _ = nested_kernel_pairs(grid)
+    j, l = j[l < size], l[l < size]
+    disjoint[j, l] = disjoint[l, j] = False
+    hat_half = w.w_half.symbol.coeff
+    hat_inv_half = w.w_inv_half.symbol.coeff
+    return np.where(
+        disjoint, hat_half[:, None] * kernel * hat_inv_half[None, :], 0.0
+    )
 
 
 def dense_sharp_ratio(w: Weight) -> float:
@@ -159,7 +198,7 @@ def s_coefficient_walk(J) -> float:
     """
     total = 0.0
     for anc in J.ancestors():
-        if anc.is_left_child:
+        if is_left_child(anc):
             # anc = K_left for K = anc.parent; 1/|K| = 2^{level(anc) - 1}
             total += delta_sign(J, anc) * 2.0 ** (anc.level - 1)
     return math.sqrt(2.0) * total
@@ -169,7 +208,7 @@ def nested_kernel_walk(J, L) -> float:
     """<half-shift h_J^1, h_L^1> for L strictly inside J: s(J) plus, when J
     is a left child, the boundary term sqrt(2) delta(L, J) / |pi J|."""
     value = s_coefficient_walk(J)
-    if J.is_left_child:
+    if is_left_child(J):
         value += math.sqrt(2.0) * delta_sign(L, J) * 2.0 ** (J.level - 1)
     return value
 

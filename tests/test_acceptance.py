@@ -62,7 +62,7 @@ from haarshift import (
 from haarshift.cli import fit_slopes, main, sweep_rows
 from haarshift.estimates import corona_sum
 from haarshift.verify import run_verification
-from oracles import dense_sharp_ratio
+from oracles import dense_sharp_ratio, is_left_child
 
 PINNED_ALPHAS = [-0.9, -0.8, -0.7, -0.5, -0.3, 0.3, 0.5, 0.7, 0.8, 0.9]
 SWEEP_DEPTH = 12
@@ -147,7 +147,7 @@ def test_criterion_1_literal_uniform_kernel_law():
         unsigned = math.sqrt(2.0) * sum(
             2.0 ** (anc.level - 1)
             for anc in j_idx.ancestors()
-            if anc.is_left_child
+            if is_left_child(anc)
         )
         for l_idx in grid.all_indices():
             if j_idx.strictly_contains(l_idx):

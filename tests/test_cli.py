@@ -398,15 +398,13 @@ def test_sweep_negative_workers_usage_error(monkeypatch):
     assert _SerialPool.sizes == []
 
 
-def test_sweep_depth_stability_reports(tmp_path):
-    out_file = tmp_path / "d.csv"
-    code, _, err = _run(
-        ["sweep", "--family", "power", "--params", "0.3,0.5,0.7", "--depth", "6",
-         "--out", str(out_file), "--workers", "0", "--depth-stability"]
+def test_sweep_depth_stability_flag_is_a_usage_error():
+    code, out, err = _run(
+        ["sweep", "--family", "power", "--params", "0.3,0.5,0.7", "--depth", "4",
+         "--depth-stability"]
     )
-    assert code == 0
-    assert "depth-stability: depth 6 vs 4" in err
-    assert err.count("rel_diff=") == 3 * len(TERM_ORDER)
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --depth-stability" in err
 
 
 @pytest.mark.parametrize(
@@ -580,7 +578,30 @@ def test_kernel_table_verifies_closed_form():
     code, out, _ = _run(["kernel", "--depth", "5"])
     assert code == 0
     assert "max |kernel - closed form| over nested pairs" in out
+    assert "max |kernel - s(L)| over J inside or equal to L" in out
     assert "ancestor-sum bound sqrt(2)/|J|: PASS" in out
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (1, 3)])
+def test_kernel_and_verify_fail_on_a_broken_equal_or_containing_pair(
+    monkeypatch, entry
+):
+    # table[L, J] at L = J = (2,0), and at L = (1,0) containing J = (2,0)
+    import haarshift.cli as cli
+    import haarshift.verify as verify
+
+    def broken(grid, kind):
+        table = shift_kernel_table(grid, kind)
+        table[entry] += 1e-6
+        return table
+
+    monkeypatch.setattr(cli, "shift_kernel_table", broken)
+    monkeypatch.setattr(verify, "shift_kernel_table", broken)
+    code, out, _ = _run(["kernel", "--depth", "4"])
+    assert code == 1
+    assert "max |kernel - s(L)| over J inside or equal to L: 1.000e-06" in out
+    checks = {r.name: r for r in run_verification(4, 1)}
+    assert not checks["shift_kernel_closed_form"].passed
 
 
 def test_kernel_depth_cap():

@@ -24,7 +24,7 @@ from haarshift import (
     corona,
     corona_members,
     corona_sum,
-    disjoint_block_matrix,
+    count_operations,
     disjoint_block_norm,
     ell_inf_norm,
     haar_function,
@@ -37,7 +37,9 @@ from haarshift import (
     subtree_sums,
     weighted_square_norm_sq,
 )
-from oracles import corona_by_scan, corona_members_by_walk
+from haarshift import estimates
+from haarshift.norms import operator_norm
+from oracles import corona_by_scan, corona_members_by_walk, disjoint_block_matrix
 
 
 def _rand(grid, rng):
@@ -465,10 +467,9 @@ def test_disjoint_block_matrix_matches_entrywise_kernel():
 
 def test_disjoint_block_mask_matches_brute_force_containment(monkeypatch):
     # with a kernel of ones the block is the mask times nonzero coefficients
-    monkeypatch.setattr(
-        "haarshift.estimates._kernel_block", lambda grid, kind, n: np.ones((n, n))
-    )
     w = _cascade(Grid(5), 0.4, 3)
+    ones = np.ones((w.grid.tree_size,) * 2)
+    monkeypatch.setattr("oracles.shift_kernel_table", lambda grid, kind: ones)
     assert np.all(w.w_half.symbol.coeff != 0)
     assert np.all(w.w_inv_half.symbol.coeff != 0)
     indices = list(w.grid.haar_indices())
@@ -492,6 +493,61 @@ def test_disjoint_block_ratio_reported_across_powers():
         assert np.isfinite(ratio) and ratio >= 0.0
 
 
-def test_disjoint_block_depth_cap():
-    with pytest.raises(ValueError):
-        disjoint_block_norm(_cascade(Grid(11), 0.3, 1))
+_BLOCK_WEIGHTS = (
+    WeightSpec("cascade", eps=0.5, seed=3),
+    WeightSpec("power", alpha=0.6),
+    # w^{+-1/2} have Haar coefficients only on the chain of intervals that
+    # hold the jump at 3/8, and any two of those are nested: the block is 0
+    WeightSpec("step", a=3.0, b=1.0, split=0.375),
+)
+
+
+@pytest.mark.parametrize("depth", (3, 5, 8, 10))
+def test_disjoint_block_apply_and_norm_match_dense_oracle(depth):
+    grid = Grid(depth)
+    coeff = np.random.default_rng(40 + depth).normal(size=(grid.haar_size, 3))
+    f = LeafFunction.from_symbol(HaarSymbol(grid, coeff, np.zeros(3)))
+    for spec in _BLOCK_WEIGHTS:
+        w = make_weight(spec, grid)
+        op = estimates._DisjointBlock(w)
+        mat = disjoint_block_matrix(w)
+        for apply, dense in ((op.apply, mat), (op.adjoint_apply, mat.T)):
+            got, expected = apply(f).symbol.coeff, dense @ coeff
+            scale = np.abs(expected).max()
+            if spec.family == "step":
+                assert scale == 0.0 and np.abs(got).max() < 1e-15, apply.__name__
+            else:
+                assert np.abs(got - expected).max() <= 1e-13 * scale, (spec, apply)
+        spectral = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert disjoint_block_norm(w) == pytest.approx(spectral, rel=1e-6, abs=1e-15)
+
+
+def test_disjoint_block_matvec_cost_pinned():
+    # one T*T matvec on Haar coefficients, as the norm engine runs it: per
+    # side a shift of an atoms-born function read as averages, a subtree sum
+    # and an ancestor sweep, the same 16 sweep operations per leaf (less a
+    # constant) at every depth
+    for depth in (8, 10, 12):
+        grid = Grid(depth)
+        op = estimates._DisjointBlock(_cascade(grid, 0.5, 3))
+        coeff = np.random.default_rng(41).normal(size=grid.haar_size)
+        f = LeafFunction.from_symbol(HaarSymbol(grid, coeff, 0.0))
+        with count_operations() as ops:
+            op.adjoint_apply(op.apply(f)).symbol.coeff
+        assert ops.total == 16 * grid.leaf_count - 22, depth
+
+
+def test_disjoint_block_norm_converges_beyond_the_dense_depths():
+    # no depth cap: a dense block at depth 12 would hold 4095^2 entries
+    value = disjoint_block_norm(_cascade(Grid(12), 0.3, 1))
+    assert math.isfinite(value) and value > 0.0
+
+
+def test_disjoint_block_norm_raises_rather_than_returning_unconverged(monkeypatch):
+    def two_steps(op):
+        return operator_norm(op, max_iter=2)
+
+    monkeypatch.setattr(estimates, "operator_norm", two_steps)
+    with pytest.raises(ConvergenceError) as info:
+        disjoint_block_norm(_cascade(Grid(8), 0.5, 3))
+    assert info.value.estimate > 0.0 and info.value.residual > 1e-9

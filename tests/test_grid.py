@@ -16,14 +16,13 @@ from haarshift import (
     averages,
     averaging_function,
     count_operations,
-    delta_sign,
     haar_function,
     product_formula,
     subtree_sums,
     sum_interval_constants,
     synthesize,
 )
-from oracles import product_formula_coeff
+from oracles import delta_sign, is_left_child, product_formula_coeff
 
 
 def _rand(grid, rng):
@@ -39,8 +38,8 @@ def test_index_navigation():
     assert idx.left == DyadicIndex(3, 2)
     assert idx.right == DyadicIndex(3, 3)
     assert idx.parent == DyadicIndex(1, 0)
-    assert not idx.is_left_child
-    assert DyadicIndex(2, 0).is_left_child
+    assert not is_left_child(idx)
+    assert is_left_child(DyadicIndex(2, 0))
     assert idx.flat_offset == 4
     assert list(idx.ancestors()) == [DyadicIndex(0, 0), DyadicIndex(1, 0)]
 

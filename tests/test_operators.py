@@ -40,6 +40,7 @@ from haarshift import (
 from haarshift import estimates
 from oracles import (
     explicit_paraproduct_matrix,
+    is_left_child,
     kernel_table_by_columns,
     materialize_by_columns,
     nested_kernel_walk,
@@ -190,7 +191,9 @@ def test_block_apply_equals_single_column_calls_bit_for_bit(depth):
     grid = Grid(depth)
     rng = np.random.default_rng(110 + depth)
     block = rng.uniform(-1.0, 1.0, (grid.leaf_count, 3))
-    for case, op in _every_resolution_operator(_cascade(grid)):
+    w = _cascade(grid)
+    disjoint = ("half", "disjoint_block"), estimates._DisjointBlock(w)
+    for case, op in [*_every_resolution_operator(w), disjoint]:
         for apply in (op.apply, op.adjoint_apply):
             out = apply(LeafFunction(grid, block)).values
             assert out.shape == block.shape, case
@@ -402,6 +405,7 @@ def test_adjoint_consistency_all_operators():
     for kind in SHIFT_KINDS:
         ops += list(resolution_pieces(w, kind).values())
     ops.append(conjugated_shift(w, "half"))
+    ops.append(estimates._DisjointBlock(w))
     for op in ops:
         for _ in range(20):
             f, g = _rand(grid, rng), _rand(grid, rng)
@@ -557,7 +561,7 @@ def test_kernel_constant_in_l_for_right_children_and_root():
     table = shift_kernel_table(grid, "half")
     s = s_coefficients(grid)
     for j in grid.all_indices():
-        if j.is_left_child:
+        if is_left_child(j):
             continue
         for l in grid.all_indices():
             if j.strictly_contains(l):
@@ -568,14 +572,13 @@ def test_kernel_constant_in_l_for_right_children_and_root():
 
 def test_kernel_table_equals_one_atom_at_a_time_bit_for_bit():
     # at depth 8 a block holds 16 atoms: the 511 table columns end on a
-    # short block of 15, and so do the 255 Haar columns of the disjoint block
+    # short block of 15
     for depth in range(1, 9):
         grid = Grid(depth)
         for kind in SHIFT_KINDS:
-            for size in (grid.tree_size, grid.haar_size):
-                expected = kernel_table_by_columns(grid, kind, size)
-                got = estimates._kernel_block(grid, kind, size)
-                assert np.array_equal(got, expected), (depth, kind, size)
+            expected = kernel_table_by_columns(grid, kind)
+            got = shift_kernel_table(grid, kind)
+            assert np.array_equal(got, expected), (depth, kind)
 
 
 @pytest.mark.parametrize("width", [1, 3, 7, 512])
@@ -584,7 +587,7 @@ def test_kernel_table_bit_identical_at_any_block_width(monkeypatch, width):
     grid = Grid(7)
     monkeypatch.setattr(estimates, "KERNEL_BLOCK_ENTRIES", width * grid.leaf_count)
     for kind in SHIFT_KINDS:
-        expected = kernel_table_by_columns(grid, kind, grid.tree_size)
+        expected = kernel_table_by_columns(grid, kind)
         assert np.array_equal(shift_kernel_table(grid, kind), expected), kind
 
 

@@ -14,8 +14,8 @@ from haarshift import (
     disbalanced_data,
     haar_function,
     make_weight,
-    weighted_average,
 )
+from oracles import weighted_average
 
 
 def _cascade(grid, eps=0.4, seed=0):
