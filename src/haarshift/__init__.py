@@ -3,7 +3,8 @@
 Core layers:
 
 - grid: dyadic intervals on [0,1), Haar analysis/synthesis, exact averages
-- weights: A2 weight families, characteristic, disbalanced Haar data
+- weights: A2 weight families, characteristic, disbalanced Haar data as
+  level-contiguous arrays over the whole grid
 - operators: paraproducts, multipliers, Haar shifts, weighted resolution
 - norms: exact norms from operator structure, matrix-free Lanczos norms,
   and a dense LAPACK oracle

@@ -192,23 +192,41 @@ def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
     return table
 
 
+def _left_child_table(grid: Grid) -> np.ndarray:
+    """1/|pi J| on each left child J (odd flat offsets), else 0, over levels
+    0..depth: the exact powers of two that weigh the half shift's closed
+    form."""
+    left_child = np.arange(grid.tree_size) % 2 == 1
+    return left_child * (0.5 * grid.tree_inv_lengths)
+
+
+def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out_L = sum over J strictly containing L of left_J or right_J, as L
+    lies in the left or right child of J: one downward sweep.  The rows
+    follow the input's: Haar-sized rows give levels 0..depth-1, tree-sized
+    rows levels 0..depth."""
+    out = np.zeros(left.shape)
+    levels = (left.shape[0] + 1).bit_length() - 1
+    for lev in range(levels - 1):
+        level = grid.level_slice(lev)
+        parent, child = out[level], out[grid.level_slice(lev + 1)]
+        np.add(parent, left[level], out=child[0::2])
+        np.add(parent, right[level], out=child[1::2])
+        _tally(2 * parent.size)
+    return out
+
+
 def s_coefficients(grid: Grid) -> np.ndarray:
     """Half-shift nested-pair coefficient s(J) at every flat offset: the
     signed lacunary sum over the grid ancestors K whose left child strictly
     contains J,
 
-        sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|.
+        sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|,
 
-    One downward sweep: J takes its parent's sum and, when the parent is a
-    left child, adds delta(J, pi J) / |pi pi J| = +-2^{level - 2} (+ at
-    positions 0 mod 4, - at 1 mod 4).  Terms are added root first.
+    one ancestor sweep of the left-child table, terms added root first.
     """
-    total = np.zeros(grid.tree_size)
-    for lev in range(2, grid.depth + 1):
-        step = 2.0 ** (lev - 2) * np.array([1.0, -1.0, 0.0, 0.0])
-        parents = np.repeat(total[grid.level_slice(lev - 1)], 2)
-        total[grid.level_slice(lev)] = parents + np.tile(step, 1 << (lev - 2))
-    return math.sqrt(2.0) * total
+    c = _left_child_table(grid)
+    return math.sqrt(2.0) * _ancestor_sums(grid, c, -c)
 
 
 def nested_kernel_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,20 +236,16 @@ def nested_kernel_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     The value is s(J) plus, when J is a left child, the boundary term of
     K = pi J, whose shifted atom lands on J: sqrt(2) delta(L, J) / |pi J|.
     """
-    s = s_coefficients(grid)
-    js, ls, values = [], [], []
+    js, ls, signs = [], [], []
     for lev in range(grid.depth):
         for sub in range(lev + 1, grid.depth + 1):
             pos = np.arange(1 << sub)
-            j_pos = pos >> (sub - lev)
-            sign = 1.0 - 2.0 * ((pos >> (sub - lev - 1)) & 1)
-            boundary = math.sqrt(2.0) * sign * 2.0 ** (lev - 1)
-            j = (1 << lev) - 1 + j_pos
-            left_child = (lev >= 1) & (j_pos % 2 == 0)
-            js.append(j)
+            js.append((1 << lev) - 1 + (pos >> (sub - lev)))
             ls.append((1 << sub) - 1 + pos)
-            values.append(s[j] + np.where(left_child, boundary, 0.0))
-    return np.concatenate(js), np.concatenate(ls), np.concatenate(values)
+            signs.append(1.0 - 2.0 * ((pos >> (sub - lev - 1)) & 1))
+    j, l, sign = map(np.concatenate, (js, ls, signs))
+    boundary = math.sqrt(2.0) * _left_child_table(grid)[j] * sign
+    return j, l, s_coefficients(grid)[j] + boundary
 
 
 def shift_kernel_errors(grid: Grid, table: np.ndarray) -> tuple[float, float, float]:
@@ -249,19 +263,6 @@ def shift_kernel_errors(grid: Grid, table: np.ndarray) -> tuple[float, float, fl
     bound = math.sqrt(2.0) * grid.tree_inv_lengths
     excess = (magnitude - bound)[magnitude > bound + 1e-12]
     return error, float(containing), float(excess.max(initial=0.0))
-
-
-def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """out_L = sum over Haar-bearing J strictly containing L of left_J or
-    right_J, as L lies in the left or right child of J: one downward sweep."""
-    out = np.zeros(left.shape)
-    for lev in range(grid.depth - 1):
-        level = grid.level_slice(lev)
-        parent, child = out[level], out[grid.level_slice(lev + 1)]
-        np.add(parent, left[level], out=child[0::2])
-        np.add(parent, right[level], out=child[1::2])
-        _tally(2 * parent.size)
-    return out
 
 
 class _DisjointBlock(DyadicOperator):
@@ -284,9 +285,7 @@ class _DisjointBlock(DyadicOperator):
         self.shift = HaarShift(grid, "half")
         self.outer, self.inner = w.w_half.symbol.coeff, w.w_inv_half.symbol.coeff
         self.s = s_coefficients(grid)[: grid.haar_size]
-        # sqrt(2) / |pi J| on each left child J (odd offsets), else 0
-        left_child = np.arange(grid.haar_size) % 2 == 1
-        self.boundary = left_child * (math.sqrt(0.5) * grid.haar_inv_lengths)
+        self.boundary = math.sqrt(2.0) * _left_child_table(grid)[: grid.haar_size]
 
     def _block(
         self, f: LeafFunction, first: np.ndarray, last: np.ndarray, transposed: bool
@@ -411,9 +410,7 @@ def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:
     return CoronaDecomposition(root=root, gamma=gamma, top=top)
 
 
-def corona_members(
-    decomp: CoronaDecomposition, w: Weight, G: DyadicIndex
-) -> np.ndarray:
+def corona_members(decomp: CoronaDecomposition, G: DyadicIndex) -> np.ndarray:
     """Flat offsets, in flat order, of the corona of the stopping interval
     G: inside G but in no stopping child of G."""
     g = G.flat_offset

@@ -25,7 +25,6 @@ from .grid import (
     HaarSymbol,
     LeafFunction,
     averages,
-    averaging_function,
     haar_function,
     product_formula,
 )
@@ -103,18 +102,22 @@ def _check_product_formula(grid: Grid, rng) -> float:
 
 
 def _check_disbalanced(grid: Grid, seed: int) -> float:
+    """The disbalanced Haar identities at every K at once.  h_K^sigma is
+    constant on each child of K: (+-|K|^{-1/2} - D_K / |K|) / C_K on K- and
+    K+.  On each child, C_K h_K^sigma + D_K h_K^1 must rebuild h_K; with
+    sigma(K-), sigma(K+) from the average tree, h_K^sigma must have unit
+    L2(sigma) norm and sigma-mean zero.  The leaf-level oracle, with
+    independent sums, lives in the tests."""
     sigma = make_weight(WeightSpec("cascade", eps=0.35, seed=seed), grid)
-    worst = 0.0
-    for k in grid.haar_indices():
-        c_k, d_k, h_sigma = disbalanced_data(sigma, k)
-        h = haar_function(grid, k)
-        h1 = averaging_function(grid, k)
-        rebuilt = c_k * h_sigma.values + d_k * h1.values
-        worst = max(worst, float(np.abs(rebuilt - h.values).max()))
-        weighted = h_sigma.values * sigma.w.values
-        worst = max(worst, abs(float(weighted @ h_sigma.values) / grid.leaf_count - 1))
-        worst = max(worst, abs(float(weighted.sum()) / grid.leaf_count))
-    return worst
+    c, d = disbalanced_data(sigma)
+    height = np.array([grid.haar_inv_sqrt_lengths, -grid.haar_inv_sqrt_lengths])
+    h_sigma = (height - d * grid.haar_inv_lengths) / c
+    tree = sigma.w.averages.tree
+    mass = np.array([tree[1::2], tree[2::2]]) / grid.tree_inv_lengths[1::2]
+    rebuilt = np.abs(c * h_sigma + d * grid.haar_inv_lengths - height)
+    norm = np.abs((mass * h_sigma**2).sum(axis=0) - 1.0)
+    mean = np.abs((mass * h_sigma).sum(axis=0))
+    return float(max(rebuilt.max(), norm.max(), mean.max()))
 
 
 def _check_multiplier_decomposition(grid: Grid, rng) -> float:

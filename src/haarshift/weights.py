@@ -1,5 +1,6 @@
 """A2 weights on the dyadic grid: parameterized families, the A2
-characteristic, derived powers, and disbalanced Haar data.
+characteristic, derived powers, and the disbalanced Haar data C and D as
+level-contiguous arrays over every Haar-bearing interval.
 
 The reciprocal and square-root weights are pointwise transforms of the leaf
 values (not re-discretizations), so w^{1/2} * w^{-1/2} = 1 holds exactly and
@@ -12,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    DyadicIndex,
-    Grid,
-    LeafFunction,
-    averaging_function,
-    haar_function,
-)
+from .grid import Grid, LeafFunction
 
 __all__ = [
     "WeightSpec",
@@ -213,27 +208,18 @@ def a2_characteristic(weight: Weight) -> float:
     return max(1.0, float(prod.max()))
 
 
-def disbalanced_data(
-    sigma: Weight, K: DyadicIndex
-) -> tuple[float, float, LeafFunction]:
-    """Disbalanced Haar data of sigma at K.
-
-    Returns (C_K, D_K, h_K^sigma) with
+def disbalanced_data(sigma: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """Disbalanced Haar data of sigma at every Haar-bearing K, as two
+    level-contiguous arrays (C, D) read from sigma's average tree and Haar
+    coefficients:
 
         C_K = sqrt(<sigma>_{K+} <sigma>_{K-} / <sigma>_K),
         D_K = sigma_hat(K) / <sigma>_K,
-        h_K = C_K h_K^sigma + D_K h_K^1   (exactly).
 
-    h_K^sigma is the sigma-normalized Haar function: unit norm in
-    L2(sigma) and sigma-mean zero.
+    so that h_K = C_K h_K^sigma + D_K h_K^1 exactly, with the
+    sigma-normalized Haar function h_K^sigma = (h_K - D_K h_K^1) / C_K of
+    unit norm in L2(sigma) and sigma-mean zero.
     """
-    grid = sigma.grid
-    if K.level >= grid.depth:
-        raise ValueError(f"{K} is not Haar-bearing at depth {grid.depth}")
-    avg = sigma.w.averages
-    c_k = float(np.sqrt(avg[K.right] * avg[K.left] / avg[K]))
-    d_k = sigma.w.symbol[K] / avg[K]
-    h = haar_function(grid, K)
-    h1 = averaging_function(grid, K)
-    h_sigma = LeafFunction(grid, (h.values - d_k * h1.values) / c_k)
-    return c_k, d_k, h_sigma
+    avg = sigma.w.averages.tree
+    parent = avg[: sigma.grid.haar_size]
+    return np.sqrt(avg[2::2] * avg[1::2] / parent), sigma.w.symbol.coeff / parent

@@ -204,6 +204,21 @@ def s_coefficient_walk(J) -> float:
     return math.sqrt(2.0) * total
 
 
+def ancestor_sums_walk(grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out_L = sum over J strictly containing L of left_J or right_J, as L
+    lies in the left or right child of J, by walking the ancestors of each
+    L, root first, over the levels that the input rows cover."""
+    levels = (left.shape[0] + 1).bit_length() - 1
+    out = np.zeros(left.shape)
+    for lev in range(levels):
+        for L in grid.indices(lev):
+            total = np.zeros(left.shape[1:])
+            for J in L.ancestors():
+                total = total + (left if J.left.contains(L) else right)[J.flat_offset]
+            out[L.flat_offset] = total
+    return out
+
+
 def nested_kernel_walk(J, L) -> float:
     """<half-shift h_J^1, h_L^1> for L strictly inside J: s(J) plus, when J
     is a left child, the boundary term sqrt(2) delta(L, J) / |pi J|."""

@@ -23,7 +23,7 @@ from haarshift.cli import (
     main,
     sweep_rows,
 )
-from haarshift import Grid, shift_kernel_table
+from haarshift import Grid, disbalanced_data, shift_kernel_table
 from haarshift.estimates import KERNEL_BLOCK_ENTRIES
 from haarshift.verify import CheckResult, _check_orthonormality, run_verification
 
@@ -83,6 +83,25 @@ def test_verify_failure_exits_one_and_names_the_failed_checks(monkeypatch):
     lines = out.splitlines()
     assert lines[1] == "FAIL  product_formula  max_err=1.000e+00  tol=1e-12"
     assert lines[-2:] == ["1/2 checks passed", "failed checks: product_formula"]
+
+
+def _c_squared(sigma):
+    c, d = disbalanced_data(sigma)
+    return c**2, d
+
+
+def _d_negated(sigma):
+    c, d = disbalanced_data(sigma)
+    return c, -d
+
+
+@pytest.mark.parametrize("wrong", [_c_squared, _d_negated])
+def test_verify_fails_wrong_disbalanced_data(monkeypatch, wrong):
+    import haarshift.verify as verify
+
+    monkeypatch.setattr(verify, "disbalanced_data", wrong)
+    results = {r.name: r for r in run_verification(4, 1)}
+    assert not results["disbalanced_reconstruction"].passed
 
 
 def _traced_peak(fn, *args):

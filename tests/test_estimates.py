@@ -39,7 +39,12 @@ from haarshift import (
 )
 from haarshift import estimates
 from haarshift.norms import operator_norm
-from oracles import corona_by_scan, corona_members_by_walk, disjoint_block_matrix
+from oracles import (
+    ancestor_sums_walk,
+    corona_by_scan,
+    corona_members_by_walk,
+    disjoint_block_matrix,
+)
 
 
 def _rand(grid, rng):
@@ -278,7 +283,7 @@ def test_corona_contract_random_cascades():
                     assert avg[a] > gamma * avg[parent]
         # within a corona no average exceeds gamma times the stopping average
         for g in decomp.stopping_intervals():
-            members = corona_members(decomp, w, g)
+            members = corona_members(decomp, g)
             assert avg.tree[members].max() <= gamma * avg[g] * (1 + 1e-12)
         # chains grow strictly super-geometrically
         for chain in decomp.chains():
@@ -308,7 +313,7 @@ def test_corona_equals_recursive_scan():
                     assert decomp.stopping_parent == stopping_parent
                     for g in decomp.stopping_intervals():
                         walk = corona_members_by_walk(stopping_parent, w, g)
-                        members = corona_members(decomp, w, g)
+                        members = corona_members(decomp, g)
                         assert members.tolist() == sorted(q.flat_offset for q in walk)
                     cases += 1
     assert cases == 3 * 10 * 4 * 3
@@ -318,10 +323,10 @@ def test_corona_members_rejects_non_stopping_interval():
     # (1,0) lies in the root's corona of a flat weight: it has no corona
     w = make_weight(WeightSpec("constant", c=1.0), Grid(4))
     decomp = corona(w, DyadicIndex(0, 0), 2.0)
-    assert corona_members(decomp, w, DyadicIndex(0, 0)).size == 31
+    assert corona_members(decomp, DyadicIndex(0, 0)).size == 31
     for G in (DyadicIndex(1, 0), DyadicIndex(4, 3), DyadicIndex(5, 0)):
         with pytest.raises(ValueError, match="not a stopping interval"):
-            corona_members(decomp, w, G)
+            corona_members(decomp, G)
 
 
 def test_corona_dominates_nested_carleson_sum():
@@ -520,6 +525,21 @@ def test_disjoint_block_apply_and_norm_match_dense_oracle(depth):
                 assert np.abs(got - expected).max() <= 1e-13 * scale, (spec, apply)
         spectral = float(np.linalg.svd(mat, compute_uv=False)[0])
         assert disjoint_block_norm(w) == pytest.approx(spectral, rel=1e-6, abs=1e-15)
+
+
+def test_ancestor_sums_equal_ancestor_walk_bit_for_bit():
+    # Haar-sized rows (the disjoint block) and tree-sized rows (s), one
+    # column and a block of three
+    rng = np.random.default_rng(17)
+    for depth in range(1, 9):
+        grid = Grid(depth)
+        for rows in (grid.haar_size, grid.tree_size):
+            for shape in ((rows,), (rows, 3)):
+                left, right = rng.normal(size=shape), rng.normal(size=shape)
+                got = estimates._ancestor_sums(grid, left, right)
+                expected = ancestor_sums_walk(grid, left, right)
+                assert got.shape == shape
+                assert got.tobytes() == expected.tobytes(), (depth, shape)
 
 
 def test_disjoint_block_matvec_cost_pinned():

@@ -254,36 +254,33 @@ def test_weighted_average_direct_summation():
 def test_disbalanced_flat_weight():
     grid = Grid(4)
     sigma = make_weight(WeightSpec("constant", c=1.0), grid)
-    k = DyadicIndex(1, 1)
-    c_k, d_k, h_sigma = disbalanced_data(sigma, k)
-    assert c_k == pytest.approx(1.0, abs=1e-15)
-    assert d_k == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(h_sigma.values, haar_function(grid, k).values, atol=1e-14)
+    c, d = disbalanced_data(sigma)
+    assert c.shape == d.shape == (grid.haar_size,)
+    assert np.abs(c - 1.0).max() < 1e-15
+    assert np.abs(d).max() < 1e-15
 
 
 def test_disbalanced_step_hand_values():
     sigma = make_weight(WeightSpec("step", a=4.0, b=1.0, split=0.5), Grid(1))
-    c_k, d_k, _ = disbalanced_data(sigma, DyadicIndex(0, 0))
-    assert c_k == pytest.approx(np.sqrt(8.0 / 5.0), abs=1e-15)
-    assert d_k == pytest.approx(3.0 / 5.0, abs=1e-15)
+    c, d = disbalanced_data(sigma)
+    assert c.shape == d.shape == (1,)
+    assert c[0] == pytest.approx(np.sqrt(8.0 / 5.0), abs=1e-15)
+    assert d[0] == pytest.approx(3.0 / 5.0, abs=1e-15)
 
 
 def test_disbalanced_reconstruction_random():
+    # h_K^sigma rebuilt from (C_K, D_K) at leaf level, per K, with its own sums
     grid = Grid(6)
     sigma = _cascade(grid, 0.45, 14)
+    c, d = disbalanced_data(sigma)
     for k in grid.haar_indices():
-        c_k, d_k, h_sigma = disbalanced_data(sigma, k)
-        rebuilt = c_k * h_sigma.values + d_k * averaging_function(grid, k).values
-        assert np.abs(rebuilt - haar_function(grid, k).values).max() < 1e-12
+        c_k, d_k = c[k.flat_offset], d[k.flat_offset]
+        h = haar_function(grid, k).values
+        h1 = averaging_function(grid, k).values
+        h_sigma = (h - d_k * h1) / c_k
+        assert np.abs(c_k * h_sigma + d_k * h1 - h).max() < 1e-12
         # unit norm and mean zero in L2(sigma)
-        weighted = h_sigma.values * sigma.w.values
-        norm_sq = float(weighted @ h_sigma.values) / grid.leaf_count
+        weighted = h_sigma * sigma.w.values
+        norm_sq = float(weighted @ h_sigma) / grid.leaf_count
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
         assert float(weighted.sum()) / grid.leaf_count == pytest.approx(0, abs=1e-12)
-
-
-def test_disbalanced_rejects_leaf_interval():
-    grid = Grid(3)
-    sigma = _cascade(grid, 0.3, 1)
-    with pytest.raises(ValueError):
-        disbalanced_data(sigma, DyadicIndex(3, 0))
