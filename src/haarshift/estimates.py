@@ -207,9 +207,10 @@ def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarra
     rows levels 0..depth."""
     out = np.zeros(left.shape)
     levels = (left.shape[0] + 1).bit_length() - 1
+    slices = grid.level_slices
     for lev in range(levels - 1):
-        level = grid.level_slice(lev)
-        parent, child = out[level], out[grid.level_slice(lev + 1)]
+        level = slices[lev]
+        parent, child = out[level], out[slices[lev + 1]]
         np.add(parent, left[level], out=child[0::2])
         np.add(parent, right[level], out=child[1::2])
         _tally(2 * parent.size)
@@ -296,7 +297,7 @@ class _DisjointBlock(DyadicOperator):
         shift = self.shift.adjoint_apply if transposed else self.shift.apply
         inside = subtree_sums(grid, x)
         s, boundary = as_column(self.s, x), as_column(self.boundary, x)
-        kernel = shift(LeafFunction.from_atoms(grid, x)).averages.haar_part
+        kernel = shift(LeafFunction.from_atoms(grid, x)).haar_averages
         y = kernel - s * inside[: grid.haar_size]
         sx = s * x
         if transposed:

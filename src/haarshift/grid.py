@@ -9,6 +9,15 @@ the leaf level.  The layout is a binary heap: offset i has its children at
 2i+1 and 2i+2, so on a Haar-indexed array levels 0..depth-2 are
 [:haar_size // 2], their left children [1::2] and right children [2::2].
 
+Each sweep fills only the levels its reader uses.  averages and the
+integral tree cover levels 0..depth; a synthesis stops at the level it is
+asked for: depth for leaf values and the full average tree, depth-1 for
+LeafFunction.haar_averages, the only averages a paraproduct reads.  A
+subtree sum fills the Haar levels 0..depth-1 (subtree_sums pads the leaf
+level with zeros), and an atoms-born function's Haar coefficients are
+differences over levels 0..depth-2, since every h^1_I is constant on the
+two children of a finest-level interval.
+
 Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
 block is k functions side by side.  Every sweep slices axis 0 only, so a
 block runs through the same code as one function, each column with the
@@ -169,6 +178,11 @@ class Grid:
         start = (1 << level) - 1
         return slice(start, start + (1 << level))
 
+    @cached_property
+    def level_slices(self) -> tuple[slice, ...]:
+        """level_slice(lev) for levels 0..depth, built once per grid."""
+        return tuple(self.level_slice(lev) for lev in range(self.depth + 1))
+
     def indices(self, level: int) -> Iterator[DyadicIndex]:
         for p in range(1 << level):
             yield DyadicIndex(level, p)
@@ -319,25 +333,51 @@ class LeafFunction:
             vals = sum_interval_constants(self.grid, consts)
             vals.setflags(write=False)
             return vals
-        return self.averages.tree[Grid.level_slice(self.grid.depth)]
+        return self.averages.tree[self.grid.level_slices[-1]]
 
     @cached_property
     def averages(self) -> "MultiscaleAverages":
+        # the full tree holds the Haar-level averages: drop a separate copy
+        self.__dict__.pop("_haar_averages", None)
         if self._born == "values":
             return averages(self)
         return MultiscaleAverages(self.grid, _synthesis_tree(self.symbol))
+
+    @property
+    def haar_averages(self) -> np.ndarray:
+        """averages.haar_part (levels 0..depth-1) from the cheapest sweep for
+        the birth form, bit for bit: the integral tree scaled on the Haar
+        levels only for leaf values, else a synthesis that stops one level
+        above the leaves.  A full average tree already held is read."""
+        if "averages" in self.__dict__:
+            return self.averages.haar_part
+        return self._haar_averages
+
+    @cached_property
+    def _haar_averages(self) -> np.ndarray:
+        if self._born == "values":
+            ints = _integral_tree(self)[: self.grid.haar_size]
+            out = ints * as_column(self.grid.haar_inv_lengths, ints)
+            _tally(out.size)
+        else:
+            out = _synthesis_tree(self.symbol, self.grid.depth - 1)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def symbol(self) -> "HaarSymbol":
         if self._born == "values":
             return analyze(self)
-        # <h^1_I, h_J> = +-|J|^{-1/2} for I inside J-/J+, else 0
-        grid = self.grid
-        inside = subtree_sums(grid, self._atoms)
-        coeff = (inside[1::2] - inside[2::2]) * as_column(
-            grid.haar_inv_sqrt_lengths, inside
-        )
-        _tally(2 * coeff.size)
+        # <h^1_I, h_J> = +-|J|^{-1/2} for I inside J-/J+, else 0; on the
+        # finest Haar level both children are leaves, which hold no atom
+        grid, atoms = self.grid, self._atoms
+        half = grid.haar_size // 2
+        inside = _subtree_sums_into(grid, atoms, np.empty(atoms.shape))
+        coeff = np.empty(atoms.shape)
+        np.subtract(inside[1::2], inside[2::2], out=coeff[:half])
+        coeff[:half] *= as_column(grid.haar_inv_sqrt_lengths[:half], coeff)
+        coeff[half:] = 0.0
+        _tally(2 * coeff[:half].size)
         coeff.setflags(write=False)
         return HaarSymbol(grid, coeff, _root_value(inside))
 
@@ -380,13 +420,14 @@ class HaarSymbol:
 def _integral_tree(f: LeafFunction) -> np.ndarray:
     """Integral of f over every interval, computed by one upward sweep."""
     n = f.grid.depth
+    slices = f.grid.level_slices
     vals = f.values
     tree = np.empty((f.grid.tree_size,) + vals.shape[1:])
-    tree[Grid.level_slice(n)] = vals * (2.0**-n)
+    tree[slices[n]] = vals * (2.0**-n)
     _tally(vals.size)
     for lev in range(n - 1, -1, -1):
-        child = tree[Grid.level_slice(lev + 1)]
-        level = tree[Grid.level_slice(lev)]
+        child = tree[slices[lev + 1]]
+        level = tree[slices[lev]]
         np.add(child[0::2], child[1::2], out=level)
         _tally(level.size)
     return tree
@@ -410,17 +451,20 @@ def analyze(f: LeafFunction) -> HaarSymbol:
     return HaarSymbol(f.grid, coeff, _root_value(ints))
 
 
-def _synthesis_tree(symbol: HaarSymbol) -> np.ndarray:
-    """Averages over every interval from Haar data, one downward sweep:
+def _synthesis_tree(symbol: HaarSymbol, last_level: int | None = None) -> np.ndarray:
+    """Averages over every interval of levels 0..last_level (default depth)
+    from Haar data, one downward sweep:
     <f>_{I-} = <f>_I + coeff_I |I|^{-1/2}, <f>_{I+} = <f>_I - coeff_I |I|^{-1/2}."""
     grid, coeff = symbol.grid, symbol.coeff
-    steps = coeff * as_column(grid.haar_inv_sqrt_lengths, coeff)
-    tree = np.empty((grid.tree_size,) + coeff.shape[1:])
+    n = grid.depth if last_level is None else last_level
+    parents = (1 << n) - 1
+    steps = coeff[:parents] * as_column(grid.haar_inv_sqrt_lengths[:parents], coeff)
+    tree = np.empty((2 * parents + 1,) + coeff.shape[1:])
     tree[0] = symbol.mean
-    for lev in range(grid.depth):
-        level = Grid.level_slice(lev)
-        parent, step = tree[level], steps[level]
-        child = tree[Grid.level_slice(lev + 1)]
+    slices = grid.level_slices
+    for lev in range(n):
+        parent, step = tree[slices[lev]], steps[slices[lev]]
+        child = tree[slices[lev + 1]]
         np.add(parent, step, out=child[0::2])
         np.subtract(parent, step, out=child[1::2])
         _tally(3 * parent.size)
@@ -431,7 +475,24 @@ def _synthesis_tree(symbol: HaarSymbol) -> np.ndarray:
 def synthesize(symbol: HaarSymbol) -> LeafFunction:
     """Rebuild the leaf function from Haar coefficients, one downward sweep."""
     tree = _synthesis_tree(symbol)
-    return LeafFunction(symbol.grid, tree[Grid.level_slice(symbol.grid.depth)])
+    return LeafFunction(symbol.grid, tree[symbol.grid.level_slices[-1]])
+
+
+def _subtree_sums_into(
+    grid: Grid, haar_values: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write the subtree sums of haar_values into out's Haar rows (levels
+    0..depth-1), one upward sweep; out's other rows are left as they are."""
+    n = grid.depth
+    slices = grid.level_slices
+    out[slices[n - 1]] = haar_values[slices[n - 1]]
+    for lev in range(n - 2, -1, -1):
+        child = out[slices[lev + 1]]
+        total = out[slices[lev]]
+        np.add(haar_values[slices[lev]], child[0::2], out=total)
+        total += child[1::2]
+        _tally(2 * total.size)
+    return out
 
 
 def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
@@ -444,16 +505,7 @@ def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
         haar_values, grid.haar_size, "expected one value per Haar-bearing interval"
     )
     out = np.zeros((grid.tree_size,) + haar_values.shape[1:])
-    n = grid.depth
-    out[Grid.level_slice(n - 1)] = haar_values[Grid.level_slice(n - 1)]
-    for lev in range(n - 2, -1, -1):
-        level = Grid.level_slice(lev)
-        child = out[Grid.level_slice(lev + 1)]
-        total = out[level]
-        np.add(haar_values[level], child[0::2], out=total)
-        total += child[1::2]
-        _tally(2 * total.size)
-    return out
+    return _subtree_sums_into(grid, haar_values, out)
 
 
 def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray:
@@ -462,9 +514,10 @@ def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray
     straight into the even (left) and odd (right) rows of the child level."""
     rows = grid.haar_size
     _check_rows(haar_constants, rows, "expected one constant per Haar-bearing interval")
-    acc = haar_constants[Grid.level_slice(0)]
+    slices = grid.level_slices
+    acc = haar_constants[slices[0]]
     for lev in range(1, grid.depth):
-        consts = haar_constants[Grid.level_slice(lev)]
+        consts = haar_constants[slices[lev]]
         child = np.empty(consts.shape)
         np.add(acc, consts[0::2], out=child[0::2])
         np.add(acc, consts[1::2], out=child[1::2])

@@ -113,7 +113,11 @@ def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, float]:
     (diagonal alphas, off-diagonal betas) and the last component |e_k^T s|
     of its unit eigenvector, from LAPACK's symmetric eigensolver (eigh
     reads only the lower triangle)."""
-    values, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+    k = len(alphas)
+    tridiagonal = np.zeros((k, k))
+    tridiagonal.flat[:: k + 1] = alphas
+    tridiagonal.flat[k :: k + 1] = betas
+    values, vectors = np.linalg.eigh(tridiagonal)
     return max(float(values[-1]), 0.0), abs(float(vectors[-1, -1]))
 
 

@@ -122,11 +122,11 @@ class Paraproduct(DyadicOperator):
 
     @staticmethod
     def _measure(f: LeafFunction, atom: str) -> np.ndarray:
-        return f.symbol.coeff if atom == "0" else f.averages.haar_part
+        return f.symbol.coeff if atom == "0" else f.haar_averages
 
     def _emit(self, weights: np.ndarray, atom: str) -> LeafFunction:
         # the output keeps its Haar data: the next factor reads .symbol or
-        # .averages without a sweep to leaf values and back
+        # .haar_averages without a sweep to leaf values and back
         weights.setflags(write=False)
         if atom == "0":
             mean = 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
@@ -258,7 +258,7 @@ def multiplier_pieces(b: LeafFunction) -> dict[str, DyadicOperator]:
     """
     grid = b.grid
     hat = b.symbol.coeff
-    avg = b.averages.haar_part
+    avg = b.haar_averages
     return {
         "01": Paraproduct(grid, hat, "01", "P01"),
         "10": Paraproduct(grid, hat, "10", "P10"),

@@ -224,8 +224,8 @@ def _check_cet_factor(grid: Grid, rng) -> float:
         constant = carleson_embedding_constant(alpha, v)
         f = _random_leaf(grid, rng)
         fv = LeafFunction(grid, f.values * v.w.values)
-        cond_exp = averages(fv).haar_part / v.w.averages.haar_part
-        lhs = float(np.sum(alpha * cond_exp**2))
+        # sum_J a_J <v>_J^2 (<f v>_J / <v>_J)^2, the embedding the constant bounds
+        lhs = float(np.sum(alpha * averages(fv).haar_part ** 2))
         rhs = 4.0 * constant * float(f.values**2 @ v.w.values) / grid.leaf_count
         worst = max(worst, (lhs - rhs) / rhs)
     return worst

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, LeafFunction
+from .grid import Grid, LeafFunction, averages
 
 __all__ = [
     "WeightSpec",
@@ -201,8 +201,10 @@ def _cascade_values(eps: float, seed: int, depth: int) -> np.ndarray:
 
 
 def a2_characteristic(weight: Weight) -> float:
-    """[w]_{A2}: max of <w>_I <1/w>_I over every interval of the grid."""
-    prod = weight.w.averages.tree * weight.w_inv.averages.tree
+    """[w]_{A2}: max of <w>_I <1/w>_I over every interval of the grid.  The
+    two average trees are not cached on the weight: the norm rows read
+    neither again, and at depth 14 they would hold 512 KiB for the call."""
+    prod = averages(weight.w).tree * averages(weight.w_inv).tree
     # Cauchy-Schwarz gives <w>_I <1/w>_I >= 1 on every I; rounding of a
     # constant weight can land one ulp below
     return max(1.0, float(prod.max()))

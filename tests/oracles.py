@@ -15,6 +15,7 @@ from haarshift import (
     shift_kernel_table,
     subtree_sums,
 )
+from haarshift.grid import as_column
 from haarshift.norms import NormResult, _start_vector, lanczos_top
 from haarshift.operators import DyadicOperator
 
@@ -275,3 +276,13 @@ def corona_members_by_walk(stopping_parent: dict, w: Weight, G) -> list:
         if node.level < grid.depth:
             stack.extend([node.left, node.right])
     return members
+
+
+def atoms_symbol_full_sweep(grid, atoms: np.ndarray):
+    """Haar coefficients and mean of sum_I atoms_I h^1_I by differences of
+    subtree sums on every Haar level, the finest included (its children are
+    leaves, whose sums are 0): the full-sweep arithmetic that
+    LeafFunction.from_atoms matches bit for bit while skipping that level."""
+    inside = subtree_sums(grid, atoms)
+    scale = as_column(grid.haar_inv_sqrt_lengths, inside)
+    return (inside[1::2] - inside[2::2]) * scale, inside[0]

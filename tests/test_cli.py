@@ -50,11 +50,16 @@ def test_verify_passes_and_prints_each_check():
 
 
 def test_verify_outcome_seed_independent():
-    code_a, out_a, _ = _run(["verify", "--depth", "4", "--seed", "1"])
-    code_b, out_b, _ = _run(["verify", "--depth", "4", "--seed", "999"])
-    assert code_a == code_b == 0
+    # depth 2 seed 7 draws inputs on which the Carleson embedding check
+    # failed while it paired the constant with the wrong left side
+    runs = [
+        _run(["verify", "--depth", "4", "--seed", "1"]),
+        _run(["verify", "--depth", "4", "--seed", "999"]),
+        _run(["verify", "--depth", "2", "--seed", "7"]),
+    ]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
     names = lambda text: [l.split()[1] for l in text.splitlines() if "  " in l]
-    assert names(out_a) == names(out_b)
+    assert names(runs[0][1]) == names(runs[1][1]) == names(runs[2][1])
 
 
 def test_verify_depth_one_is_usage_error():

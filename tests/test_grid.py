@@ -22,7 +22,12 @@ from haarshift import (
     sum_interval_constants,
     synthesize,
 )
-from oracles import delta_sign, is_left_child, product_formula_coeff
+from oracles import (
+    atoms_symbol_full_sweep,
+    delta_sign,
+    is_left_child,
+    product_formula_coeff,
+)
 
 
 def _rand(grid, rng):
@@ -342,6 +347,47 @@ def test_atom_born_symbol_matches_analysis_of_its_values(depth):
         assert abs(f.symbol.mean - direct.mean()) < 1e-13 * scale
         assert abs(f.mean() - direct.mean()) < 1e-13 * scale
         assert np.abs(f.averages.tree - averages(direct).tree).max() < 1e-13 * scale
+
+
+@pytest.mark.parametrize("depth", range(1, 11))
+def test_haar_averages_are_the_haar_part_bit_for_bit(depth):
+    # each birth form's own sweep against the full average tree of a fresh
+    # copy; a function that holds the full tree reads it, and one that
+    # computes the full tree after its Haar-level averages keeps one copy
+    grid = Grid(depth)
+    rng = np.random.default_rng(110 + depth)
+    for batch in ((), (3,)):
+        vals = rng.uniform(-1.0, 1.0, (grid.leaf_count,) + batch)
+        coeff = rng.normal(size=(grid.haar_size,) + batch)
+        mean = rng.normal(size=batch) if batch else float(rng.normal())
+        atoms = rng.normal(size=(grid.haar_size,) + batch)
+        for make in (
+            lambda: LeafFunction(grid, vals),
+            lambda: LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean)),
+            lambda: LeafFunction.from_atoms(grid, atoms),
+        ):
+            expected = make().averages.haar_part
+            f = make()
+            got = f.haar_averages
+            assert got.shape == expected.shape, (depth, batch)
+            assert got.tobytes() == expected.tobytes(), (depth, batch)
+            assert not got.flags.writeable
+            assert f.averages.tree.tobytes() == make().averages.tree.tobytes()
+            assert np.shares_memory(f.haar_averages, f.averages.tree)
+            assert "_haar_averages" not in vars(f)
+
+
+@pytest.mark.parametrize("depth", (1, 2, 5, 10))
+def test_atom_born_symbol_is_the_full_sweep_bit_for_bit(depth):
+    grid = Grid(depth)
+    rng = np.random.default_rng(120 + depth)
+    for batch in ((), (3,)):
+        atoms = rng.normal(size=(grid.haar_size,) + batch)
+        atoms[::5] = -0.0
+        coeff, mean = atoms_symbol_full_sweep(grid, atoms)
+        got = LeafFunction.from_atoms(grid, atoms).symbol
+        assert got.coeff.tobytes() == coeff.tobytes(), (depth, batch)
+        assert np.asarray(got.mean).tobytes() == np.asarray(mean).tobytes()
 
 
 def test_derived_arrays_read_only():

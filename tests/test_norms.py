@@ -409,18 +409,29 @@ def test_haar_coordinate_lanczos_matches_leaf_coordinates(depth):
 
 @pytest.mark.parametrize("shift", SHIFT_KINDS)
 def test_engine_cost_per_step_pinned(shift):
-    # sweep work per Lanczos step, start vector included: these terms
-    # iterate on Haar coefficients, so no step pays the two sweeps to leaf
-    # values and back (about 6 leaf_count more)
+    # sweep work per Lanczos step, start vector included, for the eight Q
+    # terms Lanczos runs (Q_00_00's norm is exact).  The Haar-coordinate
+    # terms pay no sweep to leaf values and back; the averages a
+    # paraproduct reads stop one level above the leaves, and an atoms-born
+    # function's coefficients skip the finest Haar level.  M_conj reads leaf
+    # values, so each step pays two full analyses (4 leaf_count - 3) and two
+    # full syntheses (3 leaf_count - 3), exactly
     grid = Grid(10)
     w = make_weight(WeightSpec("cascade", eps=0.6, seed=5), grid)
     ops = resolution_pieces(w, shift)
-    caps = {"Q_01_00": 7, "Q_10_00": 7, "Q_00_10": 7, "Q_01_10": 13, "Q_10_10": 13}
+    caps = {
+        "Q_01_00": 4, "Q_10_00": 4, "Q_00_10": 4, "Q_00_01": 5,
+        "Q_01_10": 8, "Q_10_10": 8, "Q_01_01": 9, "Q_10_01": 9,
+    }
     for label, cap in caps.items():
         with count_operations() as tally:
             result = operator_norm(ops[label])
         assert result.converged, label
         assert tally.total <= cap * grid.leaf_count * result.iterations, label
+    with count_operations() as tally:
+        result = operator_norm(conjugated_shift(w, shift))
+    assert result.converged
+    assert tally.total == (14 * grid.leaf_count - 12) * result.iterations
 
 
 @pytest.mark.parametrize("shift", SHIFT_KINDS)

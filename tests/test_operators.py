@@ -23,6 +23,7 @@ from haarshift import (
     Q_LABELS,
     SHIFT_KINDS,
     WeightSpec,
+    averages,
     averaging_function,
     conjugated_shift,
     count_operations,
@@ -257,6 +258,9 @@ def test_multiplier_decomposition_with_mean_term():
     rng = np.random.default_rng(5)
     b = _rand(grid, rng)
     pieces = multiplier_pieces(b)
+    # the P00 symbol is b's Haar-level averages: no full tree is cached on b
+    assert "averages" not in vars(b)
+    assert pieces["00"].symbol.tobytes() == averages(b).haar_part.tobytes()
     direct = Multiplier(grid, b)
     for _ in range(10):
         f = _rand(grid, rng)

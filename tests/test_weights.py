@@ -171,6 +171,8 @@ def test_a2_brute_force_random():
             w.w.values[start:stop].mean() * w.w_inv.values[start:stop].mean(),
         )
     assert a2_characteristic(w) == pytest.approx(best, rel=1e-14)
+    # the two average trees are not left cached on the weight
+    assert "averages" not in vars(w.w) and "averages" not in vars(w.w_inv)
 
 
 def test_a2_monotone_in_power_exponent():
