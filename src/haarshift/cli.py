@@ -121,13 +121,18 @@ def sweep_rows(
     tol: float,
     seed: int,
     workers: int | None = None,
+    weight_seed: int | None = None,
 ) -> tuple[list[SweepRow], list[str]]:
     """One norms block per parameter, emitted in deterministic (param, term)
     order.  The points run in this process unless workers >= 2 asks for a
     pool of min(workers, points) processes, which pays only when BLAS runs
-    one thread per process.  Each point sets the family's first parameter;
-    the seed is read by cascade weights only."""
-    specs = [WeightSpec(family, seed=seed, **{FAMILIES[family][0]: p}) for p in params]
+    one thread per process.  Each point sets the family's first parameter.
+    seed draws the Lanczos start vector; weight_seed (default: seed) is read
+    by cascade weights only."""
+    weight_seed = seed if weight_seed is None else weight_seed
+    specs = [
+        WeightSpec(family, seed=weight_seed, **{FAMILIES[family][0]: p}) for p in params
+    ]
     point = partial(compute_norm_rows, depth=depth, shift=shift, tol=tol, seed=seed)
     # the pool starts all max_workers processes at the first submit
     size = min(workers or 1, len(specs))
@@ -230,7 +235,8 @@ def cmd_sweep(args) -> int:
     if len(set(params)) < 3:
         raise ValueError("sweep needs at least 3 distinct parameters")
     rows, warnings = sweep_rows(
-        args.family, params, args.depth, args.shift, args.tol, args.seed, args.workers
+        args.family, params, args.depth, args.shift, args.tol, args.seed, args.workers,
+        args.weight_seed,
     )
     for line in warnings:
         print(line, file=sys.stderr)
@@ -357,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_out_path, default=None)
     p.add_argument("--workers", type=_workers_arg, default=None,
                    help="process-pool size; 0, 1 or unset run in-process")
+    p.add_argument("--weight-seed", type=int, default=None,
+                   help="seed of the cascade weights (default: --seed)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("battery", help="weighted Carleson-sum inequality battery")

@@ -108,7 +108,7 @@ def s_pi_sharp_ratio(
 
     def matvec(x: np.ndarray) -> np.ndarray:
         y = project(x) * u
-        z = d.apply(LeafFunction(grid, y)).values * u
+        z = d.apply(LeafFunction._adopt(grid, y)).values * u
         return project(z)
 
     rng = np.random.default_rng(seed)
@@ -306,7 +306,7 @@ class _DisjointBlock(DyadicOperator):
             y -= _ancestor_sums(grid, sx + boundary * x, sx - boundary * x)
         y *= as_column(last, y)
         mean = 0.0 if y.ndim == 1 else np.zeros(y.shape[1])
-        return LeafFunction.from_symbol(HaarSymbol(grid, y, mean))
+        return LeafFunction._adopt(grid, y, mean)
 
     def apply(self, f: LeafFunction) -> LeafFunction:
         return self._block(f, self.inner, self.outer, transposed=False)

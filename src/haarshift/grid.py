@@ -18,6 +18,15 @@ level with zeros), and an atoms-born function's Haar coefficients are
 differences over levels 0..depth-2, since every h^1_I is constant on the
 two children of a finest-level interval.
 
+A LeafFunction's data is read-only.  The public births copy: the
+constructor its values, from_symbol and from_atoms a writable array.  The
+private LeafFunction._adopt takes a fresh array, or a view of one, without
+a copy and sets it read-only.  Operators adopt the products they make, and the
+norm engine its Lanczos vector, so one T*T step allocates only the arrays
+it returns.  Nothing may write an adopted array through another reference
+while the function that adopted it is alive: the engine writes its vector
+again only after the matvec returns.
+
 Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
 block is k functions side by side.  Every sweep slices axis 0 only, so a
 block runs through the same code as one function, each column with the
@@ -276,6 +285,16 @@ class LeafFunction:
         return f
 
     @classmethod
+    def _adopt(cls, grid: Grid, data: np.ndarray, mean=None) -> "LeafFunction":
+        """The adopting birth: leaf values, or Haar coefficients with this
+        mean, taken without a copy and set read-only (see the module
+        docstring for who may still write them)."""
+        data.setflags(write=False)
+        if mean is None:
+            return cls._born_as(grid, "values", data, values=data)
+        return cls._born_as(grid, "symbol", data, symbol=HaarSymbol(grid, data, mean))
+
+    @classmethod
     def from_symbol(cls, symbol: "HaarSymbol") -> "LeafFunction":
         """The function with these Haar coefficients and mean.  A writable
         coefficient array is copied, so the cached data cannot go stale."""
@@ -423,7 +442,7 @@ def _integral_tree(f: LeafFunction) -> np.ndarray:
     slices = f.grid.level_slices
     vals = f.values
     tree = np.empty((f.grid.tree_size,) + vals.shape[1:])
-    tree[slices[n]] = vals * (2.0**-n)
+    np.multiply(vals, 2.0**-n, out=tree[slices[n]])
     _tally(vals.size)
     for lev in range(n - 1, -1, -1):
         child = tree[slices[lev + 1]]
@@ -435,8 +454,8 @@ def _integral_tree(f: LeafFunction) -> np.ndarray:
 
 def averages(f: LeafFunction) -> MultiscaleAverages:
     """Averages of f over all dyadic intervals, one upward sweep."""
-    ints = _integral_tree(f)
-    tree = ints * as_column(f.grid.tree_inv_lengths, ints)
+    tree = _integral_tree(f)
+    tree *= as_column(f.grid.tree_inv_lengths, tree)
     _tally(tree.size)
     tree.setflags(write=False)
     return MultiscaleAverages(f.grid, tree)
@@ -445,7 +464,8 @@ def averages(f: LeafFunction) -> MultiscaleAverages:
 def analyze(f: LeafFunction) -> HaarSymbol:
     """Haar coefficients of f plus the mean, one upward sweep."""
     ints = _integral_tree(f)
-    coeff = (ints[1::2] - ints[2::2]) * as_column(f.grid.haar_inv_sqrt_lengths, ints)
+    coeff = np.subtract(ints[1::2], ints[2::2])
+    coeff *= as_column(f.grid.haar_inv_sqrt_lengths, coeff)
     _tally(2 * coeff.size)
     coeff.setflags(write=False)
     return HaarSymbol(f.grid, coeff, _root_value(ints))

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import HaarSymbol, LeafFunction, analyze
+from .grid import LeafFunction, analyze
 from .operators import (
     Composition,
     DyadicOperator,
@@ -219,7 +219,9 @@ def operator_norm(
     are Haar coefficients and no step sweeps to leaf values and back; the
     rest run on leaf values.  Both start from the same function, in
     coordinates orthonormal up to one scale, so in exact arithmetic the
-    Krylov space and the Ritz values are the same.
+    Krylov space and the Ritz values are the same.  Each matvec adopts a
+    read-only view of the Lanczos vector (no copy): lanczos_top writes the
+    vector again only after the matvec returns.
     """
     grid = op.grid
     x0 = _start_vector(op, seed)
@@ -228,13 +230,14 @@ def operator_norm(
         x0 = analyze(LeafFunction(grid, x0)).coeff
 
         def normal_matvec(c: np.ndarray) -> np.ndarray:
-            f = LeafFunction.from_symbol(HaarSymbol(grid, c, 0.0))
+            f = LeafFunction._adopt(grid, c.view(), 0.0)
             return op.adjoint_apply(op.apply(f)).symbol.coeff
 
     else:
 
         def normal_matvec(x: np.ndarray) -> np.ndarray:
-            return op.adjoint_apply(op.apply(LeafFunction(grid, x))).values
+            f = LeafFunction._adopt(grid, x.view())
+            return op.adjoint_apply(op.apply(f)).values
 
     theta, steps, residual, converged = lanczos_top(normal_matvec, x0, tol, max_iter)
     return NormResult(math.sqrt(theta), steps, residual, converged)

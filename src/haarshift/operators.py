@@ -24,10 +24,8 @@ import numpy as np
 
 from .grid import (
     Grid,
-    HaarSymbol,
     LeafFunction,
     as_column,
-    gather_left_child,
 )
 from .weights import Weight
 
@@ -127,38 +125,53 @@ class Paraproduct(DyadicOperator):
     def _emit(self, weights: np.ndarray, atom: str) -> LeafFunction:
         # the output keeps its Haar data: the next factor reads .symbol or
         # .haar_averages without a sweep to leaf values and back
-        weights.setflags(write=False)
         if atom == "0":
             mean = 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
-            return LeafFunction.from_symbol(HaarSymbol(self.grid, weights, mean))
+            return LeafFunction._adopt(self.grid, weights, mean)
+        weights.setflags(write=False)
         return LeafFunction.from_atoms(self.grid, weights)
+
+    @staticmethod
+    def _scaled(symbol: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
+        """symbol * weights on weights' rows (None: the unit symbol), written
+        into weights when this apply made it (a LeafFunction's are read-only)."""
+        if symbol is None:
+            return weights
+        out = weights if weights.flags.writeable else None
+        return np.multiply(as_column(symbol[: len(weights)], weights), weights, out=out)
 
     def apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[1])
-        if self.symbol is not None:
-            weights = as_column(self.symbol, weights) * weights
-        if self.shift != "identity":
-            src = weights[: self.grid.haar_size // 2]
+        if self.shift == "identity":
+            weights = self._scaled(self.symbol, weights)
+        else:
+            # the shift places levels 0..depth-2 only: scale just those
+            src = self._scaled(self.symbol, weights[: self.grid.haar_size // 2])
             weights = np.zeros((self.grid.haar_size,) + src.shape[1:])
             weights[1::2] = src
             if self.shift == "full":
                 weights[2::2] = -src
-        if self.outer is not None:
-            weights = as_column(self.outer, weights) * weights
-        return self._emit(weights, self.kind[0])
+        return self._emit(self._scaled(self.outer, weights), self.kind[0])
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
         weights = self._measure(f, self.kind[0])
-        if self.outer is not None:
-            weights = as_column(self.outer, weights) * weights
-        if self.shift != "identity":
-            gathered = gather_left_child(self.grid, weights)
+        outer = self.outer
+        if self.shift == "identity":
+            weights = self._scaled(outer, weights)
+        else:
+            # gather I- (minus I+ for full) into I, scaled by outer only there
+            gathered = np.zeros(weights.shape)
+            head = gathered[: self.grid.haar_size // 2]
+            if outer is None:
+                head[...] = weights[1::2]
+            else:
+                np.multiply(as_column(outer[1::2], head), weights[1::2], out=head)
             if self.shift == "full":
-                gathered[: self.grid.haar_size // 2] -= weights[2::2]
+                right = weights[2::2]
+                head -= right if outer is None else as_column(outer[2::2], head) * right
             weights = gathered
-        if self.symbol is not None:
-            weights = as_column(self.symbol, weights) * weights
-        return self._emit(weights, self.kind[1])
+        # every entry, zeros too, so each keeps the sign of zero the product gives
+        return self._emit(self._scaled(self.symbol, weights), self.kind[1])
 
 
 class MeanCorrection(DyadicOperator):
@@ -186,7 +199,7 @@ class Multiplier(DyadicOperator):
 
     def apply(self, f: LeafFunction) -> LeafFunction:
         b = self.b.values
-        return LeafFunction(self.grid, as_column(b, f.values) * f.values)
+        return LeafFunction._adopt(self.grid, as_column(b, f.values) * f.values)
 
     adjoint_apply = apply
 
@@ -235,13 +248,13 @@ class OperatorSum(DyadicOperator):
         out = np.zeros(f.shape)
         for op in self.terms:
             out += op.apply(f).values
-        return LeafFunction(self.grid, out)
+        return LeafFunction._adopt(self.grid, out)
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
         out = np.zeros(f.shape)
         for op in self.terms:
             out += op.adjoint_apply(f).values
-        return LeafFunction(self.grid, out)
+        return LeafFunction._adopt(self.grid, out)
 
 
 # --------------------------------------------------------------------------

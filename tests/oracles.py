@@ -55,6 +55,22 @@ class OpaqueOperator(DyadicOperator):
         return self.inner.adjoint_apply(f)
 
 
+class RecordingOperator(OpaqueOperator):
+    """An OpaqueOperator that keeps every (input, output) pair it passes."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = []
+
+    def apply(self, f):
+        self.seen.append((f, self.inner.apply(f)))
+        return self.seen[-1][1]
+
+    def adjoint_apply(self, f):
+        self.seen.append((f, self.inner.adjoint_apply(f)))
+        return self.seen[-1][1]
+
+
 def leaf_coordinate_norm(
     op: DyadicOperator, tol: float = 1e-9, max_iter: int = 1024, seed: int = 1
 ) -> NormResult:
@@ -286,3 +302,30 @@ def atoms_symbol_full_sweep(grid, atoms: np.ndarray):
     inside = subtree_sums(grid, atoms)
     scale = as_column(grid.haar_inv_sqrt_lengths, inside)
     return (inside[1::2] - inside[2::2]) * scale, inside[0]
+
+
+def paraproduct_weights_full(op, f: LeafFunction, adjoint: bool = False) -> np.ndarray:
+    """The weights a Paraproduct emits, by full-array arithmetic: the
+    symbol (apply) or outer (adjoint) scales every entry before the shift
+    places or gathers, the other after it, each product a new array."""
+    grid = op.grid
+    half = grid.haar_size // 2
+    atom = op.kind[0] if adjoint else op.kind[1]
+    weights = f.symbol.coeff if atom == "0" else f.haar_averages
+    first, last = (op.outer, op.symbol) if adjoint else (op.symbol, op.outer)
+    if first is not None:
+        weights = as_column(first, weights) * weights
+    if op.shift != "identity":
+        moved = np.zeros((grid.haar_size,) + weights.shape[1:])
+        if adjoint:
+            moved[:half] = weights[1::2]
+            if op.shift == "full":
+                moved[:half] -= weights[2::2]
+        else:
+            moved[1::2] = weights[:half]
+            if op.shift == "full":
+                moved[2::2] = -weights[:half]
+        weights = moved
+    if last is not None:
+        weights = as_column(last, weights) * weights
+    return weights

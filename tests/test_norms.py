@@ -27,8 +27,9 @@ from haarshift import (
     a2_characteristic,
     count_operations,
 )
+from haarshift import norms
 from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
-from oracles import OpaqueOperator, leaf_coordinate_norm
+from oracles import OpaqueOperator, RecordingOperator, leaf_coordinate_norm
 
 
 class _ZeroOperator:
@@ -378,6 +379,83 @@ def test_memory_holds_no_krylov_basis():
         tracemalloc.stop()
     assert result.converged and result.iterations > 16
     assert peak <= 16 * grid.leaf_count * 8
+
+
+def test_conjugation_steps_allocate_only_what_they_return():
+    # M_conj iterates on leaf values: each matvec adopts the engine's vector
+    # and the multipliers' products instead of copying them, so the traced
+    # peak stays at seven leaf arrays (eight when the births copy)
+    grid = Grid(14)
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=5), grid)
+    op = conjugated_shift(w, "half")
+    operator_norm(op, max_iter=2)  # warm the grid's lazy caches
+    tracemalloc.start()
+    try:
+        result = operator_norm(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations > 16
+    assert peak <= 7.5 * grid.leaf_count * 8
+
+
+def test_public_birth_copies_its_values():
+    grid = Grid(4)
+    x = np.arange(grid.leaf_count, dtype=float)
+    f = LeafFunction(grid, x)
+    x[:] = -1.0
+    assert np.array_equal(f.values, np.arange(grid.leaf_count))
+    assert not np.shares_memory(f.values, x)
+
+
+@pytest.mark.parametrize("label", ["M_conj", "Q_01_10"])
+def test_engine_matvec_adopts_its_lanczos_vector(monkeypatch, label):
+    # the operator receives a read-only view of the engine's own vector,
+    # leaf values for M_conj and Haar coefficients for Q_01_10, not a copy
+    grid = Grid(6)
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=5), grid)
+    ops = resolution_pieces(w, "half")
+    ops["M_conj"] = conjugated_shift(w, "half")
+    op = RecordingOperator(ops[label])
+    matvecs = []
+
+    def capture(matvec, x0, tol, max_iter):
+        matvecs.append(matvec)
+        return 1.0, 1, 0.0, True
+
+    monkeypatch.setattr(norms, "lanczos_top", capture)
+    operator_norm(op)
+    size = grid.haar_size if op.annihilates_constants else grid.leaf_count
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size)
+    matvecs[0](x)
+    f = op.seen[0][0]
+    data = f.symbol.coeff if op.annihilates_constants else f.values
+    assert np.shares_memory(data, x) and np.array_equal(data, x)
+    assert not data.flags.writeable and x.flags.writeable
+
+
+class _Tracked(np.ndarray):
+    """Keeps every array numpy makes of this type, such as the product of a
+    tracked factor, so a test can see where that product went."""
+
+    made: list = []
+
+    def __array_finalize__(self, obj):
+        _Tracked.made.append(self)
+
+
+def test_multiplier_adopts_its_product():
+    grid = Grid(6)
+    rng = np.random.default_rng(7)
+    b = LeafFunction._adopt(grid, rng.uniform(1.0, 2.0, grid.leaf_count).view(_Tracked))
+    op = RecordingOperator(Multiplier(grid, b))
+    f = LeafFunction(grid, rng.uniform(-1.0, 1.0, grid.leaf_count))
+    _Tracked.made.clear()
+    out = op.apply(f)
+    assert out is op.seen[0][1]
+    assert any(np.shares_memory(out.values, a) for a in _Tracked.made)
+    assert not out.values.flags.writeable
+    assert np.array_equal(out.values, b.values * f.values)
 
 
 # -- Lanczos on Haar coefficients for mean-free terms --------------------------

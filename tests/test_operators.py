@@ -45,6 +45,7 @@ from oracles import (
     kernel_table_by_columns,
     materialize_by_columns,
     nested_kernel_walk,
+    paraproduct_weights_full,
     s_coefficient_walk,
 )
 
@@ -125,6 +126,33 @@ def test_paraproduct_dense_matrix_brute_force():
             expected += symbol[i.flat_offset] * pairing * atoms[out_k][i].values
         got = Paraproduct(grid, symbol, kind).apply(f)
         assert np.abs(got.values - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_paraproduct_equals_full_array_arithmetic_bit_for_bit(depth):
+    # the apply scales by its symbol only the entries the shift places and
+    # the adjoint by outer only those it gathers; every bit, the sign of
+    # every zero included, is that of the full-array products (signed
+    # zeros and negative symbols make the sign of zero show)
+    grid = Grid(depth)
+    rng = np.random.default_rng(40 + depth)
+    draws = np.array([-1.5, -0.0, 0.0, 0.75, 2.0, -0.25])
+    symbols = [None, rng.choice(draws, grid.haar_size), rng.choice(draws, grid.haar_size)]
+    for cols in ((), (3,)):
+        coeff = rng.choice(draws, (grid.haar_size,) + cols)
+        mean = 0.5 if not cols else np.full(cols, 0.5)
+        f = LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean))
+        for kind in ("01", "10", "00", "11"):
+            for shift in SHIFT_KINDS:
+                for symbol, outer in ((s, t) for s in symbols[:2] for t in symbols[::2]):
+                    op = Paraproduct(grid, symbol, kind, shift=shift, outer=outer)
+                    for adjoint in (False, True):
+                        out = (op.adjoint_apply if adjoint else op.apply)(f)
+                        born = out.symbol.coeff if out._born == "symbol" else out._atoms
+                        want = paraproduct_weights_full(op, f, adjoint)
+                        case = (kind, shift, symbol is None, outer is None, cols, adjoint)
+                        assert np.array_equal(born, want), case
+                        assert np.array_equal(np.signbit(born), np.signbit(want)), case
 
 
 @pytest.mark.parametrize("shift", SHIFT_KINDS)
