@@ -19,7 +19,6 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    MultiscaleAverages,
     analyze,
     averages,
     averaging_function,

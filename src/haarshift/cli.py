@@ -271,10 +271,11 @@ def cmd_corona(args) -> int:
         items = " ".join(str(q) for q in generation)
         print(f"generation {k}: {len(generation)} interval(s): {items}")
     # stopping edges grow by more than gamma; no corona exceeds gamma x its top
-    ok = all(avg[q] > args.gamma * avg[p] for q, p in decomp.stopping_parent.items())
+    edges = decomp.stopping_parent.items()
+    ok = all(avg[q.flat_offset] > args.gamma * avg[p.flat_offset] for q, p in edges)
     inside = decomp.top >= 0
-    limit = args.gamma * avg.tree[decomp.top[inside]] * (1 + 1e-12)
-    ok = ok and bool(np.all(avg.tree[inside] <= limit))
+    limit = args.gamma * avg[decomp.top[inside]] * (1 + 1e-12)
+    ok = ok and bool(np.all(avg[inside] <= limit))
     print(f"super-geometric check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

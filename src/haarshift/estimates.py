@@ -78,7 +78,7 @@ def s_pi(f: LeafFunction) -> LeafFunction:
 
 def weighted_square_norm_sq(f: LeafFunction, v: LeafFunction) -> float:
     """|Sf|^2 in L2(v), which collapses to sum_I fhat(I)^2 <v>_I."""
-    return float(np.sum(f.symbol.coeff**2 * v.averages.haar_part))
+    return float(np.sum(f.symbol.coeff**2 * v.averages[: v.grid.haar_size]))
 
 
 def _parent_averages(grid: Grid, avg_haar: np.ndarray) -> np.ndarray:
@@ -98,7 +98,8 @@ def s_pi_sharp_ratio(
     constant is the top eigenvalue of  P (M_u D M_u) P.
     """
     grid = w.grid
-    d = Paraproduct(grid, _parent_averages(grid, w.w.averages.haar_part), "00")
+    parents = _parent_averages(grid, w.w.averages[: grid.haar_size])
+    d = Paraproduct(grid, parents, "00")
     u = w.w_inv_half.values
     buf = np.empty_like(u)
     u_norm_sq = _dot(u, u, buf)
@@ -146,8 +147,8 @@ def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float:
     if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
     avg = v.w.averages
-    sums = subtree_sums(grid, alpha * avg.haar_part**2)
-    masses = avg.tree / grid.tree_inv_lengths  # v(I) = <v>_I |I|
+    sums = subtree_sums(grid, alpha * avg[: grid.haar_size] ** 2)
+    masses = avg / grid.tree_inv_lengths  # v(I) = <v>_I |I|
     return float((sums / masses).max())
 
 
@@ -187,7 +188,7 @@ def shift_kernel_table(grid: Grid, kind: str) -> np.ndarray:
     for start in range(0, size, width):
         stop = min(start + width, size)
         shifted = shift.apply(_atom_block(grid, np.arange(start, stop)))
-        table[:, start:stop] = shifted.averages.tree
+        table[:, start:stop] = shifted.averages
         del shifted  # let the next block's sweeps reuse its memory
     return table
 
@@ -297,7 +298,7 @@ class _DisjointBlock(DyadicOperator):
         shift = self.shift.adjoint_apply if transposed else self.shift.apply
         inside = subtree_sums(grid, x)
         s, boundary = as_column(self.s, x), as_column(self.boundary, x)
-        kernel = shift(LeafFunction.from_atoms(grid, x)).haar_averages
+        kernel = shift(LeafFunction._adopt(grid, x, atoms=True)).haar_averages
         y = kernel - s * inside[: grid.haar_size]
         sx = s * x
         if transposed:
@@ -399,7 +400,7 @@ def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:
     average exceeds gamma <w>_T, in which case it starts a new one."""
     if not 1.0 < gamma < math.inf:
         raise ValueError(f"corona threshold gamma must be finite and > 1, got {gamma}")
-    avg = w.w.averages.tree
+    avg = w.w.averages
     top = np.full(w.grid.tree_size, -1)
     top[root.flat_offset] = root.flat_offset
     for level in range(root.level + 1, w.grid.depth + 1):
@@ -423,9 +424,11 @@ def corona_members(decomp: CoronaDecomposition, G: DyadicIndex) -> np.ndarray:
 def corona_sum(decomp: CoronaDecomposition, w: Weight) -> float:
     """sum over stopping intervals G of <w>_G^2 * (1/w)(G), the quantity
     dominating the nested Carleson sum in the stopping-time argument."""
+    avg_w, avg_inv = w.w.averages, w.w_inv.averages
     total = 0.0
     for g in decomp.stopping_intervals():
-        total += w.w.averages[g] ** 2 * w.w_inv.averages[g] * g.length
+        i = g.flat_offset
+        total += float(avg_w[i]) ** 2 * float(avg_inv[i]) * g.length
     return total
 
 
@@ -498,25 +501,26 @@ def inequality_battery(w: Weight) -> InequalityReport:
     w_hat = w.w.symbol.coeff
     avg_w = w.w.averages
     avg_inv = w.w_inv.averages
-    avg_half = w.w_half.averages
+    h = grid.haar_size
+    haar_w, haar_inv, haar_half = avg_w[:h], avg_inv[:h], w.w_half.averages[:h]
 
     lengths = 1.0 / grid.tree_inv_lengths
-    mass_w = avg_w.tree * lengths  # w(I)
-    mass_inv = avg_inv.tree * lengths  # (1/w)(I)
+    mass_w = avg_w * lengths  # w(I)
+    mass_inv = avg_inv * lengths  # (1/w)(I)
 
     hat_w_left = gather_left_child(grid, w_hat)
     cross = np.abs(inv_hat * hat_w_left)
 
     quantities = {
-        "a": inv_half_hat**2 * avg_w.haar_part,
-        "b": inv_half_hat**2 * avg_half.haar_part**2,
-        "c": inv_half_hat**2 * _parent_averages(grid, avg_w.haar_part),
-        "d": inv_hat**2 / avg_inv.haar_part**2,
-        "e": inv_hat**2 / avg_inv.haar_part,
-        "f": inv_hat**2 / avg_inv.haar_part**3,
+        "a": inv_half_hat**2 * haar_w,
+        "b": inv_half_hat**2 * haar_half**2,
+        "c": inv_half_hat**2 * _parent_averages(grid, haar_w),
+        "d": inv_hat**2 / haar_inv**2,
+        "e": inv_hat**2 / haar_inv,
+        "f": inv_hat**2 / haar_inv**3,
         "g": cross,
-        "h": cross / avg_inv.haar_part,
-        "i": inv_half_hat**2 * avg_w.haar_part**2,
+        "h": cross / haar_inv,
+        "i": inv_half_hat**2 * haar_w**2,
     }
     normalizers = {
         "a": lengths,

@@ -18,14 +18,17 @@ level with zeros), and an atoms-born function's Haar coefficients are
 differences over levels 0..depth-2, since every h^1_I is constant on the
 two children of a finest-level interval.
 
-A LeafFunction's data is read-only.  The public births copy: the
-constructor its values, from_symbol and from_atoms a writable array.  The
-private LeafFunction._adopt takes a fresh array, or a view of one, without
-a copy and sets it read-only.  Operators adopt the products they make, and the
+A LeafFunction has two births, and its data is read-only.  The public
+constructor LeafFunction(grid, values) copies its leaf values.  The private
+LeafFunction._adopt takes leaf values, Haar coefficients with a mean, or
+averaging-atom weights as a fresh array, or a view of one, without a copy
+and sets it read-only.  Operators adopt the products they make, and the
 norm engine its Lanczos vector, so one T*T step allocates only the arrays
 it returns.  Nothing may write an adopted array through another reference
 while the function that adopted it is alive: the engine writes its vector
-again only after the matvec returns.
+again only after the matvec returns.  averages(f) and
+LeafFunction.averages are the read-only average tree itself, the average
+over interval I at I.flat_offset.
 
 Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
 block is k functions side by side.  Every sweep slices axis 0 only, so a
@@ -47,7 +50,6 @@ __all__ = [
     "DyadicIndex",
     "Grid",
     "LeafFunction",
-    "MultiscaleAverages",
     "HaarSymbol",
     "haar_function",
     "averaging_function",
@@ -232,13 +234,6 @@ class Grid:
 # leaf functions and their multiscale data
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    if arr.flags.writeable:
-        arr = np.array(arr, dtype=float)
-        arr.setflags(write=False)
-    return arr
-
-
 def _check_rows(arr: np.ndarray, rows: int, message: str) -> None:
     """arr holds one entry per row, with at most a trailing batch axis."""
     if arr.ndim not in (1, 2) or arr.shape[0] != rows:
@@ -252,17 +247,21 @@ def as_column(per_interval: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 def _root_value(tree: np.ndarray):
-    """tree[0]: a float, or a read-only row of k for a block."""
-    return float(tree[0]) if tree.ndim == 1 else _read_only(tree[0])
+    """tree[0]: a float, or a read-only copy of the row of k for a block."""
+    if tree.ndim == 1:
+        return float(tree[0])
+    row = tree[0].copy()
+    row.setflags(write=False)
+    return row
 
 
 class LeafFunction:
     """Real function piecewise constant on the leaves of a dyadic grid, or a
     block of k such functions held as the columns of (leaf_count, k) data.
 
-    A LeafFunction is born from leaf values (the constructor), from a
-    HaarSymbol (from_symbol) or from averaging-atom weights
-    sum_I u_I h^1_I over Haar-bearing I (from_atoms).  values, symbol,
+    A LeafFunction is born from leaf values, from Haar coefficients with a
+    mean, or from averaging-atom weights sum_I u_I h^1_I over Haar-bearing
+    I (see the module docstring for its two births).  values, symbol,
     averages and mean() are derived lazily from the birth form, cached, and
     read-only, so operators hand each other Haar data without a round trip
     through leaf values.  shape is the shape of values, known at birth.
@@ -278,43 +277,23 @@ class LeafFunction:
         self.__dict__.update(grid=grid, shape=vals.shape, _born="values", values=vals)
 
     @classmethod
-    def _born_as(cls, grid: Grid, born: str, data: np.ndarray, **form):
+    def _adopt(
+        cls, grid: Grid, data: np.ndarray, mean=None, atoms: bool = False
+    ) -> "LeafFunction":
+        """The adopting birth: leaf values, Haar coefficients with this mean,
+        or (atoms) averaging-atom weights, taken without a copy and set
+        read-only (see the module docstring for who may still write them)."""
+        data.setflags(write=False)
+        if atoms:
+            born, form = "atoms", {"_atoms": data}
+        elif mean is None:
+            born, form = "values", {"values": data}
+        else:
+            born, form = "symbol", {"symbol": HaarSymbol(grid, data, mean)}
         f = cls.__new__(cls)
         shape = (grid.leaf_count,) + data.shape[1:]
         f.__dict__.update(grid=grid, shape=shape, _born=born, **form)
         return f
-
-    @classmethod
-    def _adopt(cls, grid: Grid, data: np.ndarray, mean=None) -> "LeafFunction":
-        """The adopting birth: leaf values, or Haar coefficients with this
-        mean, taken without a copy and set read-only (see the module
-        docstring for who may still write them)."""
-        data.setflags(write=False)
-        if mean is None:
-            return cls._born_as(grid, "values", data, values=data)
-        return cls._born_as(grid, "symbol", data, symbol=HaarSymbol(grid, data, mean))
-
-    @classmethod
-    def from_symbol(cls, symbol: "HaarSymbol") -> "LeafFunction":
-        """The function with these Haar coefficients and mean.  A writable
-        coefficient array is copied, so the cached data cannot go stale."""
-        coeff = symbol.coeff
-        _check_rows(
-            coeff, symbol.grid.haar_size, "expected one coefficient per Haar interval"
-        )
-        if coeff.flags.writeable:
-            symbol = HaarSymbol(symbol.grid, _read_only(coeff), symbol.mean)
-        return cls._born_as(symbol.grid, "symbol", coeff, symbol=symbol)
-
-    @classmethod
-    def from_atoms(cls, grid: Grid, weights: np.ndarray) -> "LeafFunction":
-        """sum_I weights_I h^1_I over Haar-bearing I (h^1_I = 1_I / |I|).
-        A writable weight array is copied, as in from_symbol."""
-        weights = np.asarray(weights, dtype=float)
-        _check_rows(
-            weights, grid.haar_size, "expected one weight per Haar-bearing interval"
-        )
-        return cls._born_as(grid, "atoms", weights, _atoms=_read_only(weights))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LeafFunction is immutable; cannot set {name!r}")
@@ -352,24 +331,24 @@ class LeafFunction:
             vals = sum_interval_constants(self.grid, consts)
             vals.setflags(write=False)
             return vals
-        return self.averages.tree[self.grid.level_slices[-1]]
+        return self.averages[self.grid.level_slices[-1]]
 
     @cached_property
-    def averages(self) -> "MultiscaleAverages":
+    def averages(self) -> np.ndarray:
         # the full tree holds the Haar-level averages: drop a separate copy
         self.__dict__.pop("_haar_averages", None)
         if self._born == "values":
             return averages(self)
-        return MultiscaleAverages(self.grid, _synthesis_tree(self.symbol))
+        return _synthesis_tree(self.symbol)
 
     @property
     def haar_averages(self) -> np.ndarray:
-        """averages.haar_part (levels 0..depth-1) from the cheapest sweep for
-        the birth form, bit for bit: the integral tree scaled on the Haar
+        """averages[: haar_size] (levels 0..depth-1) from the cheapest sweep
+        for the birth form, bit for bit: the integral tree scaled on the Haar
         levels only for leaf values, else a synthesis that stops one level
         above the leaves.  A full average tree already held is read."""
         if "averages" in self.__dict__:
-            return self.averages.haar_part
+            return self.averages[: self.grid.haar_size]
         return self._haar_averages
 
     @cached_property
@@ -399,22 +378,6 @@ class LeafFunction:
         _tally(2 * coeff[:half].size)
         coeff.setflags(write=False)
         return HaarSymbol(grid, coeff, _root_value(inside))
-
-
-@dataclass(frozen=True, eq=False)
-class MultiscaleAverages:
-    """Exact average of a leaf function over every interval of the grid."""
-
-    grid: Grid
-    tree: np.ndarray  # level-contiguous, levels 0..depth
-
-    def __getitem__(self, index: DyadicIndex) -> float:
-        return float(self.tree[index.flat_offset])
-
-    @property
-    def haar_part(self) -> np.ndarray:
-        """Averages restricted to the Haar-bearing levels 0..depth-1."""
-        return self.tree[: self.grid.haar_size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,13 +415,14 @@ def _integral_tree(f: LeafFunction) -> np.ndarray:
     return tree
 
 
-def averages(f: LeafFunction) -> MultiscaleAverages:
-    """Averages of f over all dyadic intervals, one upward sweep."""
+def averages(f: LeafFunction) -> np.ndarray:
+    """Averages of f over all dyadic intervals, levels 0..depth
+    level-contiguous and read-only, one upward sweep."""
     tree = _integral_tree(f)
     tree *= as_column(f.grid.tree_inv_lengths, tree)
     _tally(tree.size)
     tree.setflags(write=False)
-    return MultiscaleAverages(f.grid, tree)
+    return tree
 
 
 def analyze(f: LeafFunction) -> HaarSymbol:
@@ -598,8 +562,8 @@ def product_formula(f: LeafFunction, g: LeafFunction) -> HaarSymbol:
     sub = subtree_sums(grid, fs.coeff * gs.coeff)
     coeff = (
         (sub[1::2] - sub[2::2]) * grid.haar_inv_sqrt_lengths
-        + fs.coeff * g.averages.haar_part
-        + gs.coeff * f.averages.haar_part
+        + fs.coeff * g.averages[: grid.haar_size]
+        + gs.coeff * f.averages[: grid.haar_size]
     )
     coeff.setflags(write=False)
     return HaarSymbol(grid, coeff, fs.mean * gs.mean + float(sub[0]))

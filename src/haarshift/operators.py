@@ -128,8 +128,7 @@ class Paraproduct(DyadicOperator):
         if atom == "0":
             mean = 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
             return LeafFunction._adopt(self.grid, weights, mean)
-        weights.setflags(write=False)
-        return LeafFunction.from_atoms(self.grid, weights)
+        return LeafFunction._adopt(self.grid, weights, atoms=True)
 
     @staticmethod
     def _scaled(symbol: np.ndarray | None, weights: np.ndarray) -> np.ndarray:

@@ -112,7 +112,7 @@ def _check_disbalanced(grid: Grid, seed: int) -> float:
     c, d = disbalanced_data(sigma)
     height = np.array([grid.haar_inv_sqrt_lengths, -grid.haar_inv_sqrt_lengths])
     h_sigma = (height - d * grid.haar_inv_lengths) / c
-    tree = sigma.w.averages.tree
+    tree = sigma.w.averages
     mass = np.array([tree[1::2], tree[2::2]]) / grid.tree_inv_lengths[1::2]
     rebuilt = np.abs(c * h_sigma + d * grid.haar_inv_lengths - height)
     norm = np.abs((mass * h_sigma**2).sum(axis=0) - 1.0)
@@ -225,7 +225,7 @@ def _check_cet_factor(grid: Grid, rng) -> float:
         f = _random_leaf(grid, rng)
         fv = LeafFunction(grid, f.values * v.w.values)
         # sum_J a_J <v>_J^2 (<f v>_J / <v>_J)^2, the embedding the constant bounds
-        lhs = float(np.sum(alpha * averages(fv).haar_part ** 2))
+        lhs = float(np.sum(alpha * averages(fv)[: grid.haar_size] ** 2))
         rhs = 4.0 * constant * float(f.values**2 @ v.w.values) / grid.leaf_count
         worst = max(worst, (lhs - rhs) / rhs)
     return worst

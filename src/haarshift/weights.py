@@ -204,7 +204,7 @@ def a2_characteristic(weight: Weight) -> float:
     """[w]_{A2}: max of <w>_I <1/w>_I over every interval of the grid.  The
     two average trees are not cached on the weight: the norm rows read
     neither again, and at depth 14 they would hold 512 KiB for the call."""
-    prod = averages(weight.w).tree * averages(weight.w_inv).tree
+    prod = averages(weight.w) * averages(weight.w_inv)
     # Cauchy-Schwarz gives <w>_I <1/w>_I >= 1 on every I; rounding of a
     # constant weight can land one ulp below
     return max(1.0, float(prod.max()))
@@ -222,6 +222,6 @@ def disbalanced_data(sigma: Weight) -> tuple[np.ndarray, np.ndarray]:
     sigma-normalized Haar function h_K^sigma = (h_K - D_K h_K^1) / C_K of
     unit norm in L2(sigma) and sigma-mean zero.
     """
-    avg = sigma.w.averages.tree
+    avg = sigma.w.averages
     parent = avg[: sigma.grid.haar_size]
     return np.sqrt(avg[2::2] * avg[1::2] / parent), sigma.w.symbol.coeff / parent

@@ -108,7 +108,7 @@ def kernel_table_by_columns(grid, kind: str) -> np.ndarray:
     table = np.empty((grid.tree_size, grid.tree_size))
     for j_idx in grid.all_indices():
         shifted = shift.apply(averaging_function(grid, j_idx))
-        table[:, j_idx.flat_offset] = shifted.averages.tree
+        table[:, j_idx.flat_offset] = shifted.averages
     return table
 
 
@@ -146,7 +146,7 @@ def dense_sharp_ratio(w: Weight) -> float:
         [haar_function(grid, idx).values for idx in grid.haar_indices()]
     )
     parents = np.empty(grid.haar_size)
-    avg = w.w.averages.haar_part
+    avg = w.w.averages[: grid.haar_size]
     parents[0] = avg[0]
     for idx in grid.haar_indices():
         if idx.level >= 1:
@@ -205,7 +205,7 @@ def product_formula_coeff(f, g, I) -> float:
     inner_sum = (sub[I.left.flat_offset] - sub[I.right.flat_offset]) * 2.0 ** (
         I.level / 2
     )
-    return float(inner_sum + fs[I] * g.averages[I] + gs[I] * f.averages[I])
+    return float(inner_sum + fs[I] * g.averages[I.flat_offset] + gs[I] * f.averages[I.flat_offset])
 
 
 def s_coefficient_walk(J) -> float:
@@ -256,14 +256,14 @@ def corona_by_scan(w: Weight, root, gamma: float):
 
     def scan(parent, generation: int) -> None:
         """Find maximal stopping subintervals of `parent`."""
-        threshold = gamma * avg[parent]
+        threshold = gamma * avg[parent.flat_offset]
         stack = (
             [parent.left, parent.right] if parent.level < grid.depth else []
         )
         found = []
         while stack:
             node = stack.pop()
-            if avg[node] > threshold:
+            if avg[node.flat_offset] > threshold:
                 found.append(node)
             elif node.level < grid.depth:
                 stack.extend([node.left, node.right])
@@ -298,7 +298,7 @@ def atoms_symbol_full_sweep(grid, atoms: np.ndarray):
     """Haar coefficients and mean of sum_I atoms_I h^1_I by differences of
     subtree sums on every Haar level, the finest included (its children are
     leaves, whose sums are 0): the full-sweep arithmetic that
-    LeafFunction.from_atoms matches bit for bit while skipping that level."""
+    an atoms-born LeafFunction matches bit for bit while skipping that level."""
     inside = subtree_sums(grid, atoms)
     scale = as_column(grid.haar_inv_sqrt_lengths, inside)
     return (inside[1::2] - inside[2::2]) * scale, inside[0]

@@ -181,7 +181,7 @@ def test_transform_cost_linear_in_leaves():
 def test_averages_constant():
     grid = Grid(4)
     avg = averages(LeafFunction.constant(grid, 2.5))
-    assert np.abs(avg.tree - 2.5).max() < 1e-15
+    assert np.abs(avg - 2.5).max() < 1e-15
 
 
 def test_average_of_half_indicator():
@@ -189,7 +189,7 @@ def test_average_of_half_indicator():
     vals = np.zeros(grid.leaf_count)
     vals[: grid.leaf_count // 2] = 1.0
     avg = averages(LeafFunction(grid, vals))
-    assert avg[DyadicIndex(0, 0)] == pytest.approx(0.5, abs=1e-15)
+    assert avg[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_averages_consistency_random():
@@ -198,11 +198,11 @@ def test_averages_consistency_random():
     f = _rand(grid, rng)
     avg = f.averages
     for idx in grid.haar_indices():
-        assert avg[idx] == pytest.approx(
-            (avg[idx.left] + avg[idx.right]) / 2.0, abs=1e-13
+        assert avg[idx.flat_offset] == pytest.approx(
+            (avg[idx.left.flat_offset] + avg[idx.right.flat_offset]) / 2.0, abs=1e-13
         )
         start, stop = idx.leaf_range(grid.depth)
-        assert avg[idx] == pytest.approx(f.values[start:stop].mean(), abs=1e-13)
+        assert avg[idx.flat_offset] == pytest.approx(f.values[start:stop].mean(), abs=1e-13)
 
 
 # -- delta sign and the product formula --------------------------------------
@@ -316,9 +316,10 @@ def test_symbol_born_function_matches_leaf_route(depth):
     rng = np.random.default_rng(40 + depth)
     for _ in range(5):
         f = _rand(grid, rng)
-        g = LeafFunction.from_symbol(analyze(f))
+        s = analyze(f)
+        g = LeafFunction._adopt(grid, s.coeff.copy(), s.mean)
         assert np.abs(g.values - f.values).max() < 1e-13
-        assert np.abs(g.averages.tree - averages(f).tree).max() < 1e-13
+        assert np.abs(g.averages - averages(f)).max() < 1e-13
         assert abs(g.mean() - f.mean()) < 1e-13
 
 
@@ -328,7 +329,8 @@ def test_symbol_born_values_are_synthesize_bit_for_bit(depth):
     rng = np.random.default_rng(50 + depth)
     for _ in range(5):
         s = HaarSymbol(grid, rng.normal(size=grid.haar_size), float(rng.normal()))
-        assert np.array_equal(LeafFunction.from_symbol(s).values, synthesize(s).values)
+        f = LeafFunction._adopt(grid, s.coeff.copy(), s.mean)
+        assert np.array_equal(f.values, synthesize(s).values)
 
 
 @pytest.mark.parametrize("depth", (3, 9))
@@ -339,14 +341,14 @@ def test_atom_born_symbol_matches_analysis_of_its_values(depth):
     atoms = np.array([averaging_function(grid, i).values for i in grid.haar_indices()])
     for _ in range(5):
         u = rng.uniform(-1.0, 1.0, grid.haar_size)
-        f = LeafFunction.from_atoms(grid, u)
+        f = LeafFunction._adopt(grid, u.copy(), atoms=True)
         direct = LeafFunction(grid, u @ atoms)
         scale = np.abs(direct.values).max()
         assert np.abs(f.values - direct.values).max() < 1e-13 * scale
         assert np.abs(f.symbol.coeff - analyze(direct).coeff).max() < 1e-13 * scale
         assert abs(f.symbol.mean - direct.mean()) < 1e-13 * scale
         assert abs(f.mean() - direct.mean()) < 1e-13 * scale
-        assert np.abs(f.averages.tree - averages(direct).tree).max() < 1e-13 * scale
+        assert np.abs(f.averages - averages(direct)).max() < 1e-13 * scale
 
 
 @pytest.mark.parametrize("depth", range(1, 11))
@@ -363,17 +365,17 @@ def test_haar_averages_are_the_haar_part_bit_for_bit(depth):
         atoms = rng.normal(size=(grid.haar_size,) + batch)
         for make in (
             lambda: LeafFunction(grid, vals),
-            lambda: LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean)),
-            lambda: LeafFunction.from_atoms(grid, atoms),
+            lambda: LeafFunction._adopt(grid, coeff.copy(), mean),
+            lambda: LeafFunction._adopt(grid, atoms.copy(), atoms=True),
         ):
-            expected = make().averages.haar_part
+            expected = make().averages[: grid.haar_size]
             f = make()
             got = f.haar_averages
             assert got.shape == expected.shape, (depth, batch)
             assert got.tobytes() == expected.tobytes(), (depth, batch)
             assert not got.flags.writeable
-            assert f.averages.tree.tobytes() == make().averages.tree.tobytes()
-            assert np.shares_memory(f.haar_averages, f.averages.tree)
+            assert f.averages.tobytes() == make().averages.tobytes()
+            assert np.shares_memory(f.haar_averages, f.averages)
             assert "_haar_averages" not in vars(f)
 
 
@@ -385,7 +387,7 @@ def test_atom_born_symbol_is_the_full_sweep_bit_for_bit(depth):
         atoms = rng.normal(size=(grid.haar_size,) + batch)
         atoms[::5] = -0.0
         coeff, mean = atoms_symbol_full_sweep(grid, atoms)
-        got = LeafFunction.from_atoms(grid, atoms).symbol
+        got = LeafFunction._adopt(grid, atoms.copy(), atoms=True).symbol
         assert got.coeff.tobytes() == coeff.tobytes(), (depth, batch)
         assert np.asarray(got.mean).tobytes() == np.asarray(mean).tobytes()
 
@@ -395,23 +397,16 @@ def test_derived_arrays_read_only():
     rng = np.random.default_rng(70)
     born = [
         _rand(grid, rng),
-        LeafFunction.from_symbol(
-            HaarSymbol(grid, rng.normal(size=grid.haar_size), 0.5)
-        ),
-        LeafFunction.from_atoms(grid, rng.normal(size=grid.haar_size)),
+        LeafFunction._adopt(grid, rng.normal(size=grid.haar_size), 0.5),
+        LeafFunction._adopt(grid, rng.normal(size=grid.haar_size), atoms=True),
     ]
     for f in born:
-        for arr in (f.values, f.averages.tree, f.symbol.coeff):
+        for arr in (f.values, f.averages, f.symbol.coeff):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         with pytest.raises(AttributeError):
             f.values = np.zeros(grid.leaf_count)
-
-
-def test_from_atoms_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        LeafFunction.from_atoms(Grid(3), np.ones(8))
 
 
 # -- blocks: a trailing batch axis of k functions ----------------------------
@@ -428,12 +423,12 @@ def test_block_derivations_equal_column_derivations_bit_for_bit(depth):
     births = [
         (LeafFunction(grid, vals), lambda j: LeafFunction(grid, vals[:, j])),
         (
-            LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean)),
-            lambda j: LeafFunction.from_symbol(HaarSymbol(grid, coeff[:, j], mean[j])),
+            LeafFunction._adopt(grid, coeff.copy(), mean),
+            lambda j: LeafFunction._adopt(grid, coeff[:, j].copy(), mean[j]),
         ),
         (
-            LeafFunction.from_atoms(grid, atoms),
-            lambda j: LeafFunction.from_atoms(grid, atoms[:, j]),
+            LeafFunction._adopt(grid, atoms.copy(), atoms=True),
+            lambda j: LeafFunction._adopt(grid, atoms[:, j].copy(), atoms=True),
         ),
     ]
     for block, column in births:
@@ -445,7 +440,7 @@ def test_block_derivations_equal_column_derivations_bit_for_bit(depth):
             assert np.array_equal(block.values[:, j], col.values)
             assert np.array_equal(block.symbol.coeff[:, j], col.symbol.coeff)
             assert block.symbol.mean[j] == col.symbol.mean
-            assert np.array_equal(block.averages.tree[:, j], col.averages.tree)
+            assert np.array_equal(block.averages[:, j], col.averages)
             assert means[j] == col.mean()
             assert isinstance(col.mean(), float)
 
@@ -459,7 +454,7 @@ def test_block_transforms_count_k_times_the_column_work():
         with count_operations() as ops:
             synthesize(analyze(LeafFunction(grid, vals)))
             averages(LeafFunction(grid, vals))
-            LeafFunction.from_atoms(grid, vals[: grid.haar_size]).symbol
+            LeafFunction._adopt(grid, vals[: grid.haar_size].copy(), atoms=True).symbol
         counts.append(ops.total)
     assert counts[0] == 5 * counts[1] > 0
 
@@ -470,10 +465,6 @@ def test_block_shape_errors():
         with pytest.raises(ValueError):
             LeafFunction(grid, bad)
     for bad in (np.zeros((7, 2, 2)), np.zeros((8, 2)), np.zeros((2, 7))):
-        with pytest.raises(ValueError):
-            LeafFunction.from_atoms(grid, bad)
-        with pytest.raises(ValueError):
-            LeafFunction.from_symbol(HaarSymbol(grid, bad, 0.0))
         with pytest.raises(ValueError):
             subtree_sums(grid, bad)
         with pytest.raises(ValueError):

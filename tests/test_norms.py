@@ -27,7 +27,7 @@ from haarshift import (
     a2_characteristic,
     count_operations,
 )
-from haarshift import norms
+from haarshift import estimates, norms
 from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
 from oracles import OpaqueOperator, RecordingOperator, leaf_coordinate_norm
 
@@ -456,6 +456,23 @@ def test_multiplier_adopts_its_product():
     assert any(np.shares_memory(out.values, a) for a in _Tracked.made)
     assert not out.values.flags.writeable
     assert np.array_equal(out.values, b.values * f.values)
+
+
+def test_disjoint_block_hands_its_shift_the_atoms_it_computed():
+    # x = vhat u keeps u's array type, so atoms of that type reached the
+    # shift without a copy (a copying birth would hand it a plain ndarray)
+    grid = Grid(6)
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=5), grid)
+    block = estimates._DisjointBlock(w)
+    block.shift = RecordingOperator(block.shift)
+    coeff = np.random.default_rng(8).normal(size=grid.haar_size)
+    f = LeafFunction._adopt(grid, coeff.view(_Tracked), 0.0)
+    block.apply(f)
+    block.adjoint_apply(f)
+    assert len(block.shift.seen) == 2
+    for shifted_input, _ in block.shift.seen:
+        assert type(shifted_input._atoms) is _Tracked
+        assert not shifted_input._atoms.flags.writeable
 
 
 # -- Lanczos on Haar coefficients for mean-free terms --------------------------

@@ -141,7 +141,7 @@ def test_paraproduct_equals_full_array_arithmetic_bit_for_bit(depth):
     for cols in ((), (3,)):
         coeff = rng.choice(draws, (grid.haar_size,) + cols)
         mean = 0.5 if not cols else np.full(cols, 0.5)
-        f = LeafFunction.from_symbol(HaarSymbol(grid, coeff, mean))
+        f = LeafFunction._adopt(grid, coeff.copy(), mean)
         for kind in ("01", "10", "00", "11"):
             for shift in SHIFT_KINDS:
                 for symbol, outer in ((s, t) for s in symbols[:2] for t in symbols[::2]):
@@ -191,9 +191,9 @@ def test_q_terms_match_product_of_explicit_atom_matrices(shift):
     pieces = resolution_pieces(w, shift)
     symbols = {
         "left": {"01": w.w_half.symbol.coeff, "10": w.w_half.symbol.coeff,
-                 "00": w.w_half.averages.haar_part},
+                 "00": w.w_half.averages[: grid.haar_size]},
         "right": {"01": w.w_inv_half.symbol.coeff, "10": w.w_inv_half.symbol.coeff,
-                  "00": w.w_inv_half.averages.haar_part},
+                  "00": w.w_inv_half.averages[: grid.haar_size]},
     }
     shift_mat = explicit_paraproduct_matrix(grid, None, "00", shift)
     for label in Q_LABELS:
@@ -288,7 +288,7 @@ def test_multiplier_decomposition_with_mean_term():
     pieces = multiplier_pieces(b)
     # the P00 symbol is b's Haar-level averages: no full tree is cached on b
     assert "averages" not in vars(b)
-    assert pieces["00"].symbol.tobytes() == averages(b).haar_part.tobytes()
+    assert pieces["00"].symbol.tobytes() == averages(b)[: grid.haar_size].tobytes()
     direct = Multiplier(grid, b)
     for _ in range(10):
         f = _rand(grid, rng)
@@ -375,7 +375,7 @@ def test_q_operator_matches_resolution_piece():
     w = _cascade(grid, 0.45, 12)
 
     def symbol(func, kind):
-        return func.symbol.coeff if kind in ("01", "10") else func.averages.haar_part
+        return func.symbol.coeff if kind in ("01", "10") else func.averages[: grid.haar_size]
 
     pieces = resolution_pieces(w, "half")
     for left in ("01", "10", "00"):
@@ -481,7 +481,7 @@ def test_closed_forms_match_compositions():
     w = _cascade(grid, 0.45, 7)
 
     def symbol(func, kind):
-        return func.symbol.coeff if kind in ("01", "10") else func.averages.haar_part
+        return func.symbol.coeff if kind in ("01", "10") else func.averages[: grid.haar_size]
 
     for shift in SHIFT_KINDS:
         pieces = resolution_pieces(w, shift)
@@ -525,12 +525,12 @@ def test_easy4_norm_is_sup_of_coefficients():
         best = 0.0
         for idx in grid.haar_indices():
             if shift == "identity":
-                best = max(best, abs(a[idx] * b[idx]))
+                best = max(best, abs(a[idx.flat_offset] * b[idx.flat_offset]))
             elif idx.level <= grid.depth - 2:
-                image = abs(a[idx.left])
+                image = abs(a[idx.left.flat_offset])
                 if shift == "full":
-                    image = math.hypot(a[idx.left], a[idx.right])
-                best = max(best, abs(b[idx]) * image)
+                    image = math.hypot(a[idx.left.flat_offset], a[idx.right.flat_offset])
+                best = max(best, abs(b[idx.flat_offset]) * image)
         got = dense_norm(resolution_pieces(w, shift)["Q_00_00"])
         assert got == pytest.approx(best, rel=1e-12), shift
 
@@ -549,7 +549,7 @@ def test_easy1_rank_sum_oracle():
             continue
         coeff = hat_half[idx.left] * hat_inv[idx]
         expected += (
-            coeff * f.averages[idx] * averaging_function(grid, idx.left).values
+            coeff * f.averages[idx.flat_offset] * averaging_function(grid, idx.left).values
         )
     got = resolution_pieces(w, "half")["Q_10_01"].apply(f)
     assert np.abs(got.values - expected).max() < 1e-11

@@ -199,7 +199,7 @@ def test_a2_dual_symmetry_exact():
 def test_cauchy_schwarz_average_products():
     grid = Grid(7)
     w = _cascade(grid, 0.5, 5)
-    prod = w.w.averages.tree * w.w_inv.averages.tree
+    prod = w.w.averages * w.w_inv.averages
     assert prod.min() >= 1.0 - 1e-13
 
 
@@ -207,7 +207,7 @@ def test_half_power_average_bound():
     # <w^{1/2}>_J^2 <= <w>_J on every interval
     grid = Grid(7)
     w = _cascade(grid, 0.45, 17)
-    assert np.all(w.w_half.averages.tree**2 <= w.w.averages.tree * (1 + 1e-14))
+    assert np.all(w.w_half.averages**2 <= w.w.averages * (1 + 1e-14))
 
 
 def test_pointwise_reciprocals_exact():
@@ -229,7 +229,7 @@ def test_weighted_average_flat_weight():
     sigma = make_weight(WeightSpec("constant", c=1.0), grid)
     for idx in (DyadicIndex(0, 0), DyadicIndex(2, 3), DyadicIndex(5, 17)):
         assert weighted_average(f, sigma, idx) == pytest.approx(
-            f.averages[idx], abs=1e-13
+            f.averages[idx.flat_offset], abs=1e-13
         )
 
 
