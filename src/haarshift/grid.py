@@ -221,6 +221,13 @@ class Grid:
         return view
 
     @cached_property
+    def leaf_basis(self) -> "LeafFunction":
+        """The identity block, whose columns are the leaf indicators, built
+        once per grid with whatever it derives cached on it.  It lives on a
+        private grid of this depth, so it holds no reference to this one."""
+        return LeafFunction._adopt(Grid(self.depth), np.eye(self.leaf_count))
+
+    @cached_property
     def haar_inv_sqrt_lengths(self) -> np.ndarray:
         """|I|^{-1/2} for every Haar-bearing interval, level-contiguous."""
         out = np.empty(self.haar_size)

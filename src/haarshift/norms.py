@@ -245,12 +245,16 @@ def operator_norm(
 
 def materialize(op: DyadicOperator) -> np.ndarray:
     """Dense matrix of an operator in the leaf-indicator basis: one apply to
-    the identity block, whose columns are the leaf indicators.
+    the grid's leaf_basis, the identity block.  The basis is read-only, is
+    built once per grid and lives as long as the grid, so what applies read
+    of it (its Haar symbol, its Haar-level averages) is measured once and
+    reused by every later call on that grid.  It sits on a private grid and
+    forms no reference cycle.
 
     The leaf basis is orthogonal with equal norms, so the L2 operator norm
     equals the spectral norm of this matrix.
     """
-    return op.apply(LeafFunction(op.grid, np.eye(op.grid.leaf_count))).values
+    return op.apply(op.grid.leaf_basis).values
 
 
 def dense_norm(op: DyadicOperator) -> float:

@@ -170,8 +170,7 @@ def _check_adjoints(grid: Grid, rng, seed: int) -> float:
     return worst
 
 
-def _check_dense_oracle(rng, seed: int) -> float:
-    grid = Grid(NORM_LAW_DEPTH)
+def _check_dense_oracle(grid: Grid, rng, seed: int) -> float:
     worst = 0.0
     for op in _operator_zoo(grid, rng, seed):
         mat = materialize(op)
@@ -183,8 +182,7 @@ def _check_dense_oracle(rng, seed: int) -> float:
     return worst
 
 
-def _check_norm_engine_agreement(rng, seed: int, tol: float) -> float:
-    grid = Grid(NORM_LAW_DEPTH)
+def _check_norm_engine_agreement(grid: Grid, rng, seed: int, tol: float) -> float:
     worst = 0.0
     for kind in ("01", "10", "00", "11"):
         sym = rng.normal(size=grid.haar_size)
@@ -231,8 +229,7 @@ def _check_cet_factor(grid: Grid, rng) -> float:
     return worst
 
 
-def _check_cm_sandwich(rng) -> float:
-    grid = Grid(NORM_LAW_DEPTH)
+def _check_cm_sandwich(grid: Grid, rng) -> float:
     worst = 0.0
     for _ in range(50):
         sym = HaarSymbol(grid, rng.normal(size=grid.haar_size), 0.0)
@@ -243,8 +240,7 @@ def _check_cm_sandwich(rng) -> float:
     return worst
 
 
-def _check_p00_norm_law(rng) -> float:
-    grid = Grid(NORM_LAW_DEPTH)
+def _check_p00_norm_law(grid: Grid, rng) -> float:
     worst = 0.0
     for _ in range(50):
         sym = HaarSymbol(grid, rng.normal(size=grid.haar_size), 0.0)
@@ -253,8 +249,7 @@ def _check_p00_norm_law(rng) -> float:
     return worst
 
 
-def _check_p11_bound(rng) -> float:
-    grid = Grid(NORM_LAW_DEPTH)
+def _check_p11_bound(grid: Grid, rng) -> float:
     worst = 0.0
     for _ in range(50):
         a = rng.uniform(0.0, 1.0, grid.haar_size)
@@ -269,6 +264,12 @@ def run_verification(depth: int, seed: int, tol: float = 1e-9) -> list[CheckResu
     if not 2 <= depth <= 10:
         raise ValueError("verification depth must be between 2 and 10")
     grid = Grid(depth)
+    # one grid for the dense-oracle laws, so its leaf basis is measured once
+    law_grid = Grid(NORM_LAW_DEPTH)
+    # the kernel table is the run's largest array and draws no random
+    # input: check it before the law grid's basis exists, so the two are
+    # never held at once
+    kernel_err = _check_shift_kernel(grid)
     rng = np.random.default_rng(seed)
     identity_tol = 1e-10
     results = [
@@ -287,16 +288,20 @@ def run_verification(depth: int, seed: int, tol: float = 1e-9) -> list[CheckResu
             identity_tol,
         ),
         CheckResult("adjoint_consistency", _check_adjoints(grid, rng, seed), 1e-11),
-        CheckResult("dense_oracle_application", _check_dense_oracle(rng, seed), 1e-12),
         CheckResult(
-            "norm_engine_vs_dense", _check_norm_engine_agreement(rng, seed, tol), 1e-6
+            "dense_oracle_application",
+            _check_dense_oracle(law_grid, rng, seed),
+            1e-12,
         ),
         CheckResult(
-            "shift_kernel_closed_form", _check_shift_kernel(grid), identity_tol
+            "norm_engine_vs_dense",
+            _check_norm_engine_agreement(law_grid, rng, seed, tol),
+            1e-6,
         ),
+        CheckResult("shift_kernel_closed_form", kernel_err, identity_tol),
         CheckResult("carleson_embedding_factor4", _check_cet_factor(grid, rng), 1e-10),
-        CheckResult("cm_sandwich", _check_cm_sandwich(rng), 1e-8),
-        CheckResult("p00_norm_law", _check_p00_norm_law(rng), 1e-6),
-        CheckResult("p11_cm_bound", _check_p11_bound(rng), 1e-8),
+        CheckResult("cm_sandwich", _check_cm_sandwich(law_grid, rng), 1e-8),
+        CheckResult("p00_norm_law", _check_p00_norm_law(law_grid, rng), 1e-6),
+        CheckResult("p11_cm_bound", _check_p11_bound(law_grid, rng), 1e-8),
     ]
     return results

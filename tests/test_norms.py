@@ -1,8 +1,10 @@
 """Norm engine: the exact path and Lanczos against the dense oracle and
 numpy's SVD."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from haarshift import (
 )
 from haarshift import estimates, norms
 from haarshift.operators import Q_LABELS, SHIFT_KINDS, Composition
+from haarshift.verify import _operator_zoo
 from oracles import OpaqueOperator, RecordingOperator, leaf_coordinate_norm
 
 
@@ -276,6 +279,21 @@ def test_lanczos_rejects_non_finite_coefficients():
             lanczos_top(lambda x: x * np.inf, np.ones(4), 1e-9, 10)
         with pytest.raises(ValueError):
             lanczos_top(lambda x: x, np.zeros(4), 1e-9, 10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="lanczos_top squares the entries of its vectors: at a norm of "
+    "3e-100 the step-1 residual's square underflows to 0, so the run stops on "
+    "beta = 0 and reports 1.09e-100, a third of the norm, as converged with "
+    "residual 0",
+)
+def test_engine_norm_scales_with_a_tiny_operator():
+    grid = Grid(4)
+    sym = np.random.default_rng(1).normal(size=grid.haar_size)
+    base = operator_norm(Paraproduct(grid, sym, "01")).value
+    tiny = operator_norm(Paraproduct(grid, sym * 1e-100, "01")).value
+    assert tiny / 1e-100 == pytest.approx(base, rel=1e-12)
 
 
 def test_nonconvergence_flagged():
@@ -553,3 +571,66 @@ def test_refined_weight_keeps_its_norms(shift):
         assert moved <= 1e-14
     else:
         assert moved > 1e-2
+
+
+# --------------------------------------------------------------------------
+# the leaf basis materialize shares across calls on one grid
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _fresh_matrix(op):
+    grid = op.grid
+    return op.apply(LeafFunction(grid, np.eye(grid.leaf_count))).values
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_materialize_on_the_shared_basis_is_bit_identical(depth):
+    # every operator of verify's zoo on one grid: the first few measure the
+    # basis, the rest read what it cached
+    grid = Grid(depth)
+    for op in _operator_zoo(grid, np.random.default_rng(depth), 3):
+        _assert_same_bits(materialize(op), _fresh_matrix(op))
+
+
+@pytest.mark.parametrize("first", ["01", "10"])
+def test_shared_basis_serves_either_reading_first(first):
+    # "01" reads the basis's Haar-level averages, "10" its Haar symbol
+    grid = Grid(5)
+    sym = np.random.default_rng(4).normal(size=grid.haar_size)
+    kinds = (first, "10" if first == "01" else "01")
+    for kind in kinds + kinds:
+        op = Paraproduct(grid, sym, kind)
+        _assert_same_bits(materialize(op), _fresh_matrix(op))
+
+
+def test_second_materialize_reuses_the_measured_basis():
+    # the first call sweeps the basis to its Haar-level averages (12,160
+    # operations) and the emitted Haar coefficients to leaf values (12,096);
+    # the second pays only for the emitted coefficients
+    grid = Grid(6)
+    op = Paraproduct(grid, np.random.default_rng(5).normal(size=grid.haar_size), "01")
+    counts = []
+    for _ in range(2):
+        with count_operations() as tally:
+            materialize(op)
+        counts.append(tally.total)
+    assert counts == [24256, 12096]
+
+
+def test_shared_basis_is_freed_with_its_grid():
+    # reference counting alone frees the grid and its basis: a basis that
+    # held the grid would form a cycle only the collector can break
+    gc.disable()
+    try:
+        grid = Grid(6)
+        op = Paraproduct(grid, np.ones(grid.haar_size), "11")
+        mat = materialize(op)
+        refs = weakref.ref(grid), weakref.ref(grid.leaf_basis)
+        del grid, op, mat
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
