@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -332,7 +332,10 @@ def _out_path(text: str) -> str:
     return text
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="haarshift",
         description="Weighted dyadic Haar analysis workbench",

@@ -214,7 +214,7 @@ def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarra
         parent, child = out[level], out[slices[lev + 1]]
         np.add(parent, left[level], out=child[0::2])
         np.add(parent, right[level], out=child[1::2])
-        _tally(2 * parent.size)
+    _tally(2 * out[: len(out) // 2].size)
     return out
 
 

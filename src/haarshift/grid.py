@@ -413,12 +413,11 @@ def _integral_tree(f: LeafFunction) -> np.ndarray:
     vals = f.values
     tree = np.empty((f.grid.tree_size,) + vals.shape[1:])
     np.multiply(vals, 2.0**-n, out=tree[slices[n]])
-    _tally(vals.size)
     for lev in range(n - 1, -1, -1):
         child = tree[slices[lev + 1]]
-        level = tree[slices[lev]]
-        np.add(child[0::2], child[1::2], out=level)
-        _tally(level.size)
+        np.add(child[0::2], child[1::2], out=tree[slices[lev]])
+    # one operation per entry: the leaf scaling, then one add per parent
+    _tally(tree.size)
     return tree
 
 
@@ -458,7 +457,7 @@ def _synthesis_tree(symbol: HaarSymbol, last_level: int | None = None) -> np.nda
         child = tree[slices[lev + 1]]
         np.add(parent, step, out=child[0::2])
         np.subtract(parent, step, out=child[1::2])
-        _tally(3 * parent.size)
+    _tally(3 * steps.size)
     tree.setflags(write=False)
     return tree
 
@@ -482,7 +481,7 @@ def _subtree_sums_into(
         total = out[slices[lev]]
         np.add(haar_values[slices[lev]], child[0::2], out=total)
         total += child[1::2]
-        _tally(2 * total.size)
+    _tally(2 * haar_values[: grid.haar_size // 2].size)
     return out
 
 
@@ -512,8 +511,8 @@ def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray
         child = np.empty(consts.shape)
         np.add(acc, consts[0::2], out=child[0::2])
         np.add(acc, consts[1::2], out=child[1::2])
-        _tally(child.size)
         acc = child
+    _tally(haar_constants[1:].size)
     out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
     out[0::2] = acc
     out[1::2] = acc

@@ -15,6 +15,7 @@ from .operators import (
     Composition,
     DyadicOperator,
     MeanCorrection,
+    Multiplier,
     OperatorSum,
     Paraproduct,
 )
@@ -36,6 +37,12 @@ DEFAULT_SEED = 1
 DENSE_DEPTH_CAP = 10
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
+# A sum of n squares (or any n-vector) of size at least tiny / eps = 2**-970
+# keeps full precision: each entry below the normal range is off by at most
+# 2**-1075, half the subnormal spacing, and n < 2**53 of them (any array in
+# memory) stay under eps of it.
+SQUARES_EXACT = TINY / EPS
 
 
 class ConvergenceError(RuntimeError):
@@ -135,6 +142,21 @@ def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(np.add.reduce(np.multiply(x, y, out=out)))
 
 
+def _norm(u: np.ndarray, scratch: np.ndarray) -> float:
+    """||u||, in scratch's storage: the root of the one-pass sum of squares,
+    the bits of sqrt(_dot(u, u)), unless that sum lies below SQUARES_EXACT;
+    then u is first scaled by max|u|, so no square underflows.  (From about
+    1e154 the squares overflow and the run stops on a non-finite beta.)"""
+    sum_sq = float(np.add.reduce(np.square(u, out=scratch)))
+    if sum_sq >= SQUARES_EXACT:
+        return math.sqrt(sum_sq)
+    scale = float(np.abs(u, out=scratch).max())
+    if scale == 0.0:
+        return 0.0
+    np.divide(u, scale, out=scratch)
+    return scale * math.sqrt(_dot(scratch, scratch, scratch))
+
+
 def lanczos_top(
     matvec: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -173,7 +195,7 @@ def lanczos_top(
         # v_prev is not read again: its storage holds this step's products
         alpha = _dot(v, u, v_prev)
         u -= np.multiply(v, alpha, out=v_prev)
-        beta = math.sqrt(_dot(u, u, v_prev))
+        beta = _norm(u, v_prev)
         if not math.isfinite(alpha + beta):
             raise ValueError(f"non-finite Lanczos coefficient at step {step}")
         alphas.append(alpha)
@@ -222,7 +244,33 @@ def operator_norm(
     Krylov space and the Ritz values are the same.  Each matvec adopts a
     read-only view of the Lanczos vector (no copy): lanczos_top writes the
     vector again only after the matvec returns.
+
+    T*T squares the scale of T.  A run whose theta falls below
+    SQUARES_EXACT lost precision to underflow, and the norm is measured
+    again on 2**h T 2**h, with 2**(2h) about the inverse of the largest
+    entry of T applied to the start vector: every vector of its steps then
+    lies near the square root of T's scale or of its inverse.  The steps of
+    both runs are counted.
     """
+    grid = op.grid
+    theta, steps, residual, converged = _normal_top(op, tol, max_iter, seed)
+    half = 0
+    if theta < SQUARES_EXACT:
+        # a zero image, or one whose own products underflowed, stays as run
+        image = op.apply(LeafFunction(grid, _start_vector(op, seed))).values
+        peak = float(np.abs(image).max())
+        if peak >= TINY:
+            half = -math.frexp(peak)[1] // 2
+            root = Multiplier(grid, LeafFunction.constant(grid, math.ldexp(1.0, half)))
+            scaled = Composition([root, op, root])
+            theta, more, residual, converged = _normal_top(scaled, tol, max_iter, seed)
+            steps += more
+    value = math.ldexp(math.sqrt(theta), -2 * half)
+    return NormResult(value, steps, residual, converged)
+
+
+def _normal_top(op: DyadicOperator, tol: float, max_iter: int, seed: int) -> tuple:
+    """lanczos_top on T*T, in the coordinates operator_norm describes."""
     grid = op.grid
     x0 = _start_vector(op, seed)
 
@@ -239,8 +287,7 @@ def operator_norm(
             f = LeafFunction._adopt(grid, x.view())
             return op.adjoint_apply(op.apply(f)).values
 
-    theta, steps, residual, converged = lanczos_top(normal_matvec, x0, tol, max_iter)
-    return NormResult(math.sqrt(theta), steps, residual, converged)
+    return lanczos_top(normal_matvec, x0, tol, max_iter)
 
 
 def materialize(op: DyadicOperator) -> np.ndarray:
@@ -266,4 +313,11 @@ def dense_norm(op: DyadicOperator) -> float:
     if op.grid.depth > DENSE_DEPTH_CAP:
         raise ValueError(f"dense norm capped at depth {DENSE_DEPTH_CAP}")
     mat = materialize(op)
-    return math.sqrt(max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0))
+    # M^T M squares the entries: where their squares may fall below
+    # SQUARES_EXACT, measure the exactly scaled 2**k M
+    peak = float(np.abs(mat).max(initial=0.0))
+    exponent = -math.frexp(peak)[1] if 0.0 < peak < math.sqrt(SQUARES_EXACT) else 0
+    if exponent:
+        mat = np.ldexp(mat, exponent)
+    top = max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0)
+    return math.ldexp(math.sqrt(top), -exponent)

@@ -84,7 +84,10 @@ class Paraproduct(DyadicOperator):
     outer scales each placed weight by its value at the output interval
     (I-, and I+ for "full"), so P^{(a,b)}_s placed and scaled by t equals
     P^{(a,0)}_t o shift o P^{(0,b)}_s.  A symbol or outer of None is the
-    unit symbol, whose multiply is skipped (HaarShift).
+    unit symbol, whose multiply is skipped (HaarShift).  A shifted apply or
+    adjoint writes each entry of its fresh array once, zeroing only what
+    the shift leaves unwritten: the root (and I+ for "half") on apply, the
+    finest Haar level on the adjoint's gather.
     """
 
     def __init__(
@@ -146,10 +149,13 @@ class Paraproduct(DyadicOperator):
         else:
             # the shift places levels 0..depth-2 only: scale just those
             src = self._scaled(self.symbol, weights[: self.grid.haar_size // 2])
-            weights = np.zeros((self.grid.haar_size,) + src.shape[1:])
+            weights = np.empty((self.grid.haar_size,) + src.shape[1:])
+            weights[0] = 0.0
             weights[1::2] = src
             if self.shift == "full":
-                weights[2::2] = -src
+                np.negative(src, out=weights[2::2])
+            else:
+                weights[2::2] = 0.0
         return self._emit(self._scaled(self.outer, weights), self.kind[0])
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
@@ -159,8 +165,10 @@ class Paraproduct(DyadicOperator):
             weights = self._scaled(outer, weights)
         else:
             # gather I- (minus I+ for full) into I, scaled by outer only there
-            gathered = np.zeros(weights.shape)
-            head = gathered[: self.grid.haar_size // 2]
+            half = self.grid.haar_size // 2
+            gathered = np.empty(weights.shape)
+            gathered[half:] = 0.0
+            head = gathered[:half]
             if outer is None:
                 head[...] = weights[1::2]
             else:

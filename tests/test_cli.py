@@ -19,11 +19,13 @@ from haarshift.cli import (
     CSV_HEADER,
     TERM_ORDER,
     SweepRow,
+    build_parser,
+    compute_norm_rows,
     fit_slopes,
     main,
     sweep_rows,
 )
-from haarshift import Grid, disbalanced_data, shift_kernel_table
+from haarshift import Grid, WeightSpec, disbalanced_data, shift_kernel_table
 from haarshift.estimates import KERNEL_BLOCK_ENTRIES
 from haarshift.verify import CheckResult, _check_orthonormality, run_verification
 
@@ -429,6 +431,55 @@ def test_sweep_weight_seed_decouples_the_weights_from_the_start_vector(tmp_path)
         assert a2_other == a2, key
         # each Ritz value meets its relative bound tol = 1e-9 on norm**2
         assert abs(norm_other**2 - norm**2) <= 1e-9 * (norm**2 + norm_other**2), key
+
+
+def test_workload_weight_rows_agree_from_two_start_seeds():
+    # the two-seed guard on the depth-14 contrast weights (cascade seed 5):
+    # a Lanczos row that missed the top of the spectrum from one start seed
+    # would have to miss it from the other too.  Rows read from structure,
+    # and a2, do not depend on the start vector at all
+    for shift in ("half", "full"):
+        for eps in (0.15, 0.3, 0.45, 0.6, 0.75):
+            spec = WeightSpec("cascade", eps=eps, seed=5)
+            runs = [compute_norm_rows(spec, 14, shift, 1e-9, seed) for seed in (5, 6)]
+            assert runs[0][1] == runs[1][1] == []
+            for row, other in zip(runs[0][0], runs[1][0]):
+                key = (shift, eps, row.term)
+                assert other.a2.hex() == row.a2.hex(), key
+                if row.term in ("Q_00_00", "mean_cross"):
+                    assert other == row, key
+                    continue
+                # each Ritz value meets its relative bound tol = 1e-9 on norm**2
+                n5, n6 = row.norm**2, other.norm**2
+                assert abs(n5 - n6) <= 1e-9 * (n5 + n6), key
+
+
+def test_main_reuses_its_parser_with_the_output_of_a_fresh_one(tmp_path):
+    # in-process calls share one parser, a usage error included; each call
+    # prints and writes what the same call prints with a freshly built one
+    norms = ["norms", "--weight", "power:alpha=0.3", "--depth", "5"]
+    calls = [
+        [*norms, "--out", str(tmp_path / "rows.csv")],
+        norms,
+        ["norms", "--depth", "5"],
+        [*norms, "--shift", "full"],
+    ]
+
+    def outcomes(fresh):
+        (tmp_path / "rows.csv").unlink(missing_ok=True)
+        build_parser.cache_clear()
+        seen = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code, out, err = _run(argv)
+            seen.append((code, out, err, (tmp_path / "rows.csv").read_bytes()))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, *_ in reused] == [0, 0, 2, 0]
+    assert reused == outcomes(fresh=True)
 
 
 def test_sweep_pool_never_larger_than_job_count(monkeypatch):

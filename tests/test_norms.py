@@ -281,19 +281,27 @@ def test_lanczos_rejects_non_finite_coefficients():
             lanczos_top(lambda x: x, np.zeros(4), 1e-9, 10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="lanczos_top squares the entries of its vectors: at a norm of "
-    "3e-100 the step-1 residual's square underflows to 0, so the run stops on "
-    "beta = 0 and reports 1.09e-100, a third of the norm, as converged with "
-    "residual 0",
-)
 def test_engine_norm_scales_with_a_tiny_operator():
     grid = Grid(4)
     sym = np.random.default_rng(1).normal(size=grid.haar_size)
     base = operator_norm(Paraproduct(grid, sym, "01")).value
     tiny = operator_norm(Paraproduct(grid, sym * 1e-100, "01")).value
     assert tiny / 1e-100 == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1e-80, 1e-140, 1e-160, 2.0**-1000])
+@pytest.mark.parametrize("kind", ["01", "10", "11"])
+def test_norms_scale_below_the_range_of_exact_squares(kind, scale):
+    # T*T and M^T M square the scale of T: from a norm of about 1e-73 down
+    # their squares leave the range where they keep full precision, and
+    # from about 1e-154 down so does the top eigenvalue of T*T itself
+    grid = Grid(4)
+    sym = np.random.default_rng(1).normal(size=grid.haar_size)
+    op, tiny_op = Paraproduct(grid, sym, kind), Paraproduct(grid, sym * scale, kind)
+    tiny = operator_norm(tiny_op)
+    assert tiny.converged
+    assert tiny.value / scale == pytest.approx(operator_norm(op).value, rel=1e-12)
+    assert dense_norm(tiny_op) / scale == pytest.approx(dense_norm(op), rel=1e-12)
 
 
 def test_nonconvergence_flagged():

@@ -133,7 +133,10 @@ def test_paraproduct_equals_full_array_arithmetic_bit_for_bit(depth):
     # the apply scales by its symbol only the entries the shift places and
     # the adjoint by outer only those it gathers; every bit, the sign of
     # every zero included, is that of the full-array products (signed
-    # zeros and negative symbols make the sign of zero show)
+    # zeros and negative symbols make the sign of zero show).  A shifted
+    # call fills uninitialised storage: a NaN block of the output's size is
+    # freed just before each call, so that storage likely holds NaN and an
+    # entry left unwritten shows
     grid = Grid(depth)
     rng = np.random.default_rng(40 + depth)
     draws = np.array([-1.5, -0.0, 0.0, 0.75, 2.0, -0.25])
@@ -142,11 +145,13 @@ def test_paraproduct_equals_full_array_arithmetic_bit_for_bit(depth):
         coeff = rng.choice(draws, (grid.haar_size,) + cols)
         mean = 0.5 if not cols else np.full(cols, 0.5)
         f = LeafFunction._adopt(grid, coeff.copy(), mean)
+        f.haar_averages  # derived now, so a call's first allocation is its output
         for kind in ("01", "10", "00", "11"):
             for shift in SHIFT_KINDS:
                 for symbol, outer in ((s, t) for s in symbols[:2] for t in symbols[::2]):
                     op = Paraproduct(grid, symbol, kind, shift=shift, outer=outer)
                     for adjoint in (False, True):
+                        np.full(coeff.shape, np.nan)
                         out = (op.adjoint_apply if adjoint else op.apply)(f)
                         born = out.symbol.coeff if out._born == "symbol" else out._atoms
                         want = paraproduct_weights_full(op, f, adjoint)
