@@ -23,7 +23,6 @@ from .grid import (
     averages,
     averaging_function,
     count_operations,
-    gather_left_child,
     haar_function,
     product_formula,
     subtree_sums,

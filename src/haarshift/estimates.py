@@ -19,9 +19,8 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    _tally,
+    _downward_tree,
     as_column,
-    gather_left_child,
     subtree_sums,
     sum_interval_constants,
 )
@@ -201,23 +200,6 @@ def _left_child_table(grid: Grid) -> np.ndarray:
     return left_child * (0.5 * grid.tree_inv_lengths)
 
 
-def _ancestor_sums(grid: Grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """out_L = sum over J strictly containing L of left_J or right_J, as L
-    lies in the left or right child of J: one downward sweep.  The rows
-    follow the input's: Haar-sized rows give levels 0..depth-1, tree-sized
-    rows levels 0..depth."""
-    out = np.zeros(left.shape)
-    levels = (left.shape[0] + 1).bit_length() - 1
-    slices = grid.level_slices
-    for lev in range(levels - 1):
-        level = slices[lev]
-        parent, child = out[level], out[slices[lev + 1]]
-        np.add(parent, left[level], out=child[0::2])
-        np.add(parent, right[level], out=child[1::2])
-    _tally(2 * out[: len(out) // 2].size)
-    return out
-
-
 def s_coefficients(grid: Grid) -> np.ndarray:
     """Half-shift nested-pair coefficient s(J) at every flat offset: the
     signed lacunary sum over the grid ancestors K whose left child strictly
@@ -225,10 +207,10 @@ def s_coefficients(grid: Grid) -> np.ndarray:
 
         sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|,
 
-    one ancestor sweep of the left-child table, terms added root first.
+    one downward sweep of the left-child table, terms added root first.
     """
-    c = _left_child_table(grid)
-    return math.sqrt(2.0) * _ancestor_sums(grid, c, -c)
+    c = _left_child_table(grid)[: grid.haar_size]
+    return math.sqrt(2.0) * _downward_tree(grid, 0.0, c, c)
 
 
 def nested_kernel_pairs(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,7 +257,7 @@ class _DisjointBlock(DyadicOperator):
     whole kernel K is one shift of the atoms-born sum_J x_J h_J^1 read as
     averages; its comparable pairs C take their closed forms, s(J) plus the
     boundary term on L inside J (nested_kernel_pairs) and s(L) on J inside
-    or equal to L, in one subtree sum and one ancestor sweep.  The adjoint
+    or equal to L, in one subtree sum and one downward sweep.  The adjoint
     runs the adjoint shift and the transposed sweeps."""
 
     label = "disjoint_block"
@@ -300,11 +282,12 @@ class _DisjointBlock(DyadicOperator):
         s, boundary = as_column(self.s, x), as_column(self.boundary, x)
         kernel = shift(LeafFunction._adopt(grid, x, atoms=True)).haar_averages
         y = kernel - s * inside[: grid.haar_size]
-        sx = s * x
+        half = grid.haar_size // 2
+        sx, bx = s[:half] * x[:half], boundary[:half] * x[:half]
         if transposed:
-            y -= _ancestor_sums(grid, sx, sx) + boundary * (inside[1::2] - inside[2::2])
+            y -= _downward_tree(grid, 0.0, sx, -sx) + boundary * (inside[1::2] - inside[2::2])
         else:
-            y -= _ancestor_sums(grid, sx + boundary * x, sx - boundary * x)
+            y -= _downward_tree(grid, 0.0, sx + bx, bx - sx)
         y *= as_column(last, y)
         mean = 0.0 if y.ndim == 1 else np.zeros(y.shape[1])
         return LeafFunction._adopt(grid, y, mean)
@@ -508,8 +491,8 @@ def inequality_battery(w: Weight) -> InequalityReport:
     mass_w = avg_w * lengths  # w(I)
     mass_inv = avg_inv * lengths  # (1/w)(I)
 
-    hat_w_left = gather_left_child(grid, w_hat)
-    cross = np.abs(inv_hat * hat_w_left)
+    cross = np.zeros(h)  # |(1/w)^(I) w^(I-)|, 0 on the last Haar level
+    cross[: h // 2] = np.abs(inv_hat[: h // 2] * w_hat[1::2])
 
     quantities = {
         "a": inv_half_hat**2 * haar_w,

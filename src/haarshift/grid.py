@@ -10,13 +10,14 @@ the leaf level.  The layout is a binary heap: offset i has its children at
 [:haar_size // 2], their left children [1::2] and right children [2::2].
 
 Each sweep fills only the levels its reader uses.  averages and the
-integral tree cover levels 0..depth; a synthesis stops at the level it is
-asked for: depth for leaf values and the full average tree, depth-1 for
-LeafFunction.haar_averages, the only averages a paraproduct reads.  A
-subtree sum fills the Haar levels 0..depth-1 (subtree_sums pads the leaf
-level with zeros), and an atoms-born function's Haar coefficients are
-differences over levels 0..depth-2, since every h^1_I is constant on the
-two children of a finest-level interval.
+integral tree cover levels 0..depth.  A synthesis, one _downward_tree from
+the mean (as is the half shift's ancestor sum s in estimates), stops at the
+level it is asked for: depth for leaf values and the full average tree,
+depth-1 for LeafFunction.haar_averages, the only averages a paraproduct
+reads.  A subtree sum fills the Haar levels 0..depth-1 (subtree_sums pads
+the leaf level with zeros), and an atoms-born function's Haar coefficients
+are differences over levels 0..depth-2, since every h^1_I is constant on
+the two children of a finest-level interval.
 
 A LeafFunction has two births, and its data is read-only.  The public
 constructor LeafFunction(grid, values) copies its leaf values.  The private
@@ -59,7 +60,6 @@ __all__ = [
     "product_formula",
     "subtree_sums",
     "sum_interval_constants",
-    "gather_left_child",
     "as_column",
     "count_operations",
 ]
@@ -217,8 +217,7 @@ class Grid:
 
     @cached_property
     def haar_inv_lengths(self) -> np.ndarray:
-        view = self.tree_inv_lengths[: self.haar_size]
-        return view
+        return self.tree_inv_lengths[: self.haar_size]
 
     @cached_property
     def leaf_basis(self) -> "LeafFunction":
@@ -441,23 +440,31 @@ def analyze(f: LeafFunction) -> HaarSymbol:
     return HaarSymbol(f.grid, coeff, _root_value(ints))
 
 
+def _downward_tree(grid: Grid, root, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """The tree over levels 0..m from its root, one downward sweep: plus and
+    minus hold a row per parent (levels 0..m-1), and parent p's left child
+    is tree[p] + plus[p], its right child tree[p] - minus[p]."""
+    tree = np.empty((2 * len(plus) + 1,) + plus.shape[1:])
+    tree[0] = root
+    parent, slices = tree[:1], grid.level_slices
+    for lev in range(len(plus).bit_length()):
+        level, child = slices[lev], tree[slices[lev + 1]]
+        np.add(parent, plus[level], out=child[0::2])
+        np.subtract(parent, minus[level], out=child[1::2])
+        parent = child
+    _tally(2 * plus.size)
+    return tree
+
+
 def _synthesis_tree(symbol: HaarSymbol, last_level: int | None = None) -> np.ndarray:
     """Averages over every interval of levels 0..last_level (default depth)
     from Haar data, one downward sweep:
     <f>_{I-} = <f>_I + coeff_I |I|^{-1/2}, <f>_{I+} = <f>_I - coeff_I |I|^{-1/2}."""
     grid, coeff = symbol.grid, symbol.coeff
-    n = grid.depth if last_level is None else last_level
-    parents = (1 << n) - 1
+    parents = (1 << (grid.depth if last_level is None else last_level)) - 1
     steps = coeff[:parents] * as_column(grid.haar_inv_sqrt_lengths[:parents], coeff)
-    tree = np.empty((2 * parents + 1,) + coeff.shape[1:])
-    tree[0] = symbol.mean
-    slices = grid.level_slices
-    for lev in range(n):
-        parent, step = tree[slices[lev]], steps[slices[lev]]
-        child = tree[slices[lev + 1]]
-        np.add(parent, step, out=child[0::2])
-        np.subtract(parent, step, out=child[1::2])
-    _tally(3 * steps.size)
+    _tally(steps.size)
+    tree = _downward_tree(grid, symbol.mean, steps, steps)
     tree.setflags(write=False)
     return tree
 
@@ -516,13 +523,6 @@ def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray
     out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
     out[0::2] = acc
     out[1::2] = acc
-    return out
-
-
-def gather_left_child(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
-    """out_I = value at I- for I at levels 0..depth-2, 0 at level depth-1."""
-    out = np.zeros((grid.haar_size,) + haar_values.shape[1:])
-    out[: grid.haar_size // 2] = haar_values[1::2]
     return out
 
 

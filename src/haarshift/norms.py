@@ -19,6 +19,7 @@ from .operators import (
     OperatorSum,
     Paraproduct,
 )
+from .weights import TINY
 
 __all__ = [
     "NormResult",
@@ -37,7 +38,6 @@ DEFAULT_SEED = 1
 DENSE_DEPTH_CAP = 10
 
 EPS = float(np.finfo(float).eps)
-TINY = float(np.finfo(float).tiny)
 # A sum of n squares (or any n-vector) of size at least tiny / eps = 2**-970
 # keeps full precision: each entry below the normal range is off by at most
 # 2**-1075, half the subnormal spacing, and n < 2**53 of them (any array in
@@ -144,14 +144,15 @@ def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
 
 def _norm(u: np.ndarray, scratch: np.ndarray) -> float:
     """||u||, in scratch's storage: the root of the one-pass sum of squares,
-    the bits of sqrt(_dot(u, u)), unless that sum lies below SQUARES_EXACT;
-    then u is first scaled by max|u|, so no square underflows.  (From about
-    1e154 the squares overflow and the run stops on a non-finite beta.)"""
+    the bits of sqrt(_dot(u, u)), unless that sum lies below SQUARES_EXACT.
+    Then 0.0 if max|u| < TINY (subnormals span an invariant subspace to
+    working precision), else u is scaled by max|u| first, so no square
+    underflows.  From about 1e154 the squares overflow (a non-finite beta)."""
     sum_sq = float(np.add.reduce(np.square(u, out=scratch)))
     if sum_sq >= SQUARES_EXACT:
         return math.sqrt(sum_sq)
     scale = float(np.abs(u, out=scratch).max())
-    if scale == 0.0:
+    if scale < TINY:
         return 0.0
     np.divide(u, scale, out=scratch)
     return scale * math.sqrt(_dot(scratch, scratch, scratch))
@@ -162,7 +163,6 @@ def lanczos_top(
     x0: np.ndarray,
     tol: float,
     max_iter: int,
-    history: list | None = None,
 ) -> tuple[float, int, float, bool]:
     """Top eigenvalue of a symmetric positive semidefinite map by plain
     three-term Lanczos from x0, holding three vectors and the tridiagonal.
@@ -171,13 +171,13 @@ def lanczos_top(
     top Ritz pair (theta, s) of T_k is at most tol * theta (Paige 1980:
     some eigenvalue of the map then lies within that bound of theta).  The
     pair is solved at the steps _solves_at picks and wherever beta_k = 0.
-    A zero map stops at step 1 with an exactly zero residual on an
-    invariant Krylov space.  Returns (theta, steps, relative residual
-    bound, converged).  Ritz values of nested Krylov spaces interlace, so
-    theta is non-decreasing (to a few ulps) and approaches the top
-    eigenvalue from below; pass a list as `history` to record it per
-    solve.  No bound computed in double precision can meet a tol below
-    machine epsilon, so such a tol is an error.
+    A step whose residual has no entry of at least TINY (see _norm), such
+    as a zero map's first, stops with a zero residual on a Krylov space
+    invariant to working precision.  Returns (theta, steps, relative
+    residual bound, converged).  Ritz values of nested Krylov spaces
+    interlace, so theta is non-decreasing (to a few ulps) and approaches
+    the top eigenvalue from below.  No bound computed in double precision
+    can meet a tol below machine epsilon, so such a tol is an error.
     """
     if not EPS <= tol < math.inf:
         raise ValueError(f"tol must be finite and positive, at least machine epsilon "
@@ -202,8 +202,6 @@ def lanczos_top(
         # beta = 0: the Krylov space is invariant and theta exact
         if beta == 0.0 or _solves_at(step, max_iter):
             theta, s = _top_ritz_pair(alphas, betas)
-            if history is not None:
-                history.append(theta)
             bound = beta * s
             residual = bound / theta if theta > 0.0 else (0.0 if bound == 0.0 else math.inf)
             if bound <= tol * theta:
@@ -250,7 +248,8 @@ def operator_norm(
     again on 2**h T 2**h, with 2**(2h) about the inverse of the largest
     entry of T applied to the start vector: every vector of its steps then
     lies near the square root of T's scale or of its inverse.  The steps of
-    both runs are counted.
+    both runs are counted; where T*T's first residual lies below TINY the
+    first run stops at step 1 (lanczos_top), and the rerun does the work.
     """
     grid = op.grid
     theta, steps, residual, converged = _normal_top(op, tol, max_iter, seed)

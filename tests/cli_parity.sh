@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Write the CLI parity set (54 files) into OUTDIR:
+# Write the CLI parity set (54 files, plus a .err file per command that
+# writes to stderr: the 6 sweeps) into OUTDIR:
 #   - norms --depth 14 --seed 5 on ten weights under every shift (30 CSVs);
 #   - sweep power and cascade at depth 10 under every shift (6);
 #   - verify at depths 2/4/8/10 with seeds 1/7/11 (12);
 #   - battery and corona on two weights at depth 12 (4);
 #   - kernel at depths 2 and 7 (2).
-# Each file holds the command's stdout, plus its exit status when nonzero.
+# Each file holds the command's stdout, plus its exit status when nonzero;
+# what the command writes to stderr (sweep's slope fits without --out, the
+# warnings of norms and sweep) goes to a NAME.err sibling, kept when not empty.
 # Run it on two checkouts and compare them:
 #   tests/cli_parity.sh /tmp/before   # on the old commit
 #   tests/cli_parity.sh /tmp/after    # on the new one
@@ -21,7 +24,8 @@ run() {
     local name=$1
     shift
     { PYTHONPATH="$root/src" python -m haarshift "$@" || echo "exit status $?"; } \
-        >"$out/$name"
+        >"$out/$name" 2>"$out/$name.err"
+    [ -s "$out/$name.err" ] || rm "$out/$name.err"
 }
 
 weights=(

@@ -38,6 +38,7 @@ from haarshift import (
     weighted_square_norm_sq,
 )
 from haarshift import estimates
+from haarshift.grid import _downward_tree
 from haarshift.norms import operator_norm
 from oracles import (
     ancestor_sums_walk,
@@ -529,15 +530,17 @@ def test_disjoint_block_apply_and_norm_match_dense_oracle(depth):
 
 
 def test_ancestor_sums_equal_ancestor_walk_bit_for_bit():
-    # Haar-sized rows (the disjoint block) and tree-sized rows (s), one
-    # column and a block of three
+    # the downward tree from a zero root, adding left_J into J's left child
+    # and subtracting -right_J from its right one: Haar-sized rows (the
+    # disjoint block) and tree-sized rows (s), one column and a block of three
     rng = np.random.default_rng(17)
     for depth in range(1, 9):
         grid = Grid(depth)
         for rows in (grid.haar_size, grid.tree_size):
             for shape in ((rows,), (rows, 3)):
                 left, right = rng.normal(size=shape), rng.normal(size=shape)
-                got = estimates._ancestor_sums(grid, left, right)
+                parents = rows // 2
+                got = _downward_tree(grid, 0.0, left[:parents], -right[:parents])
                 expected = ancestor_sums_walk(grid, left, right)
                 assert got.shape == shape
                 assert got.tobytes() == expected.tobytes(), (depth, shape)

@@ -136,16 +136,30 @@ def test_norm_result_deterministic():
     assert third.value == pytest.approx(first.value, rel=1e-7)
 
 
-def test_top_ritz_values_monotone():
+def _record_ritz_values(monkeypatch) -> list:
+    """The list that the top Ritz value of every solve of T_k is appended to."""
+    history = []
+    top_ritz_pair = norms._top_ritz_pair
+
+    def recording_top_ritz_pair(alphas, betas):
+        theta, s = top_ritz_pair(alphas, betas)
+        history.append(theta)
+        return theta, s
+
+    monkeypatch.setattr(norms, "_top_ritz_pair", recording_top_ritz_pair)
+    return history
+
+
+def test_top_ritz_values_monotone(monkeypatch):
     # Cauchy interlacing: the top Ritz value of each larger Krylov space is
     # at least the last one, and none exceeds the top eigenvalue
     grid = Grid(6)
     rng = np.random.default_rng(5)
     op = Paraproduct(grid, rng.normal(size=grid.haar_size), "01")
     mat = materialize(op)
-    history = []
+    history = _record_ritz_values(monkeypatch)
     x0 = rng.uniform(-1, 1, grid.leaf_count)
-    lanczos_top(lambda x: mat.T @ (mat @ x), x0, 1e-12, 2000, history=history)
+    lanczos_top(lambda x: mat.T @ (mat @ x), x0, 1e-12, 2000)
     assert len(history) > 5
     diffs = np.diff(np.array(history))
     assert diffs.min() >= -1e-14 * max(history)
@@ -153,12 +167,13 @@ def test_top_ritz_values_monotone():
     assert max(history) <= top * (1 + 1e-14)
 
 
-def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals():
+def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals(monkeypatch):
     # Lanczos on T^T T for random, tiny-coupling, clustered and wide-range
     # tridiagonals T: no Ritz value exceeds the top eigenvalue by more than
     # rounding, and a converged run's residual bound holds an eigenvalue
     # (Paige 1980)
     rng = np.random.default_rng(0)
+    history = _record_ritz_values(monkeypatch)
     for trial in range(400):
         k = int(rng.integers(2, 40))
         kind = trial % 4
@@ -175,11 +190,9 @@ def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals():
         mat = tri.T @ tri
         eigs = np.linalg.eigvalsh(mat)
         top = float(eigs[-1])
-        history = []
+        history.clear()
         x0 = rng.uniform(-1, 1, k)
-        theta, _, residual, converged = lanczos_top(
-            lambda x: mat @ x, x0, 1e-12, 4 * k, history=history
-        )
+        theta, _, residual, converged = lanczos_top(lambda x: mat @ x, x0, 1e-12, 4 * k)
         slack = 64 * math.ulp(top)
         assert max(history) <= top + slack, trial
         assert converged, trial
@@ -302,6 +315,20 @@ def test_norms_scale_below_the_range_of_exact_squares(kind, scale):
     assert tiny.converged
     assert tiny.value / scale == pytest.approx(operator_norm(op).value, rel=1e-12)
     assert dense_norm(tiny_op) / scale == pytest.approx(dense_norm(op), rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [4, 8])
+@pytest.mark.parametrize("kind", ["01", "10", "11"])
+def test_tiny_operator_takes_one_step_more_than_at_unit_scale(kind, depth):
+    # from a norm of about 1e-154 down the residuals of T*T are subnormal
+    # from the first step: that run stops there, and the rerun on
+    # 2**h T 2**h takes the unit-scale operator's steps
+    grid = Grid(depth)
+    sym = np.random.default_rng(1).normal(size=grid.haar_size)
+    unscaled = operator_norm(Paraproduct(grid, sym, kind)).iterations
+    for scale in (1e-158, 1e-160, 2.0**-1000):
+        tiny = operator_norm(Paraproduct(grid, sym * scale, kind))
+        assert tiny.converged and tiny.iterations == unscaled + 1, scale
 
 
 def test_nonconvergence_flagged():

@@ -2,11 +2,13 @@
 columns, and the norm engine against the dense oracle.  The examples are
 derandomized, so every run draws the same ones, given the same loaded
 modules: Hypothesis also draws the numeric constants of every local module
-imported, so a full-suite run draws other examples than this module alone."""
+imported, so a full-suite run draws other examples than this module alone.
+The extreme scales are therefore pinned with @example, which runs whatever
+constants are loaded."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from haarshift import Grid, Paraproduct, dense_norm, materialize, operator_norm
@@ -50,7 +52,17 @@ def test_materialized_columns_are_single_applies(op):
     assert np.array_equal(np.signbit(mat), np.signbit(by_columns))
 
 
+_SYMBOL_4 = np.random.default_rng(1).normal(size=Grid(4).haar_size)
+
+
 @PROPERTY_SETTINGS
 @given(paraproducts())
+# once drawn only in a full-suite run: outer entries far below the range of
+# exact squares
+@example(Paraproduct(Grid(2), None, "10", outer=np.full(3, 2.5e-162)))
+# T*T of norm below 1e-154, whose residuals are subnormal from the first step
+@example(Paraproduct(Grid(4), _SYMBOL_4 * 1e-158, "01"))
+@example(Paraproduct(Grid(4), _SYMBOL_4 * 1e-160, "11"))
+@example(Paraproduct(Grid(4), _SYMBOL_4 * 2.0**-1000, "01", shift="half"))
 def test_engine_stays_below_the_dense_norm(op):
     assert operator_norm(op).value <= dense_norm(op) * (1 + 1e-12)
