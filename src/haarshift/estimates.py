@@ -136,27 +136,28 @@ def cm_norm(a: HaarSymbol) -> float:
     return float(np.sqrt(sums.max()))
 
 
-def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float:
+def carleson_embedding_constant(alpha: np.ndarray, v: Weight) -> float | np.ndarray:
     """Exact testing constant  sup_I v(I)^{-1} sum_{J inside I} a_J <v>_J^2,
-    the sup running over every dyadic interval of the grid."""
+    the sup running over every dyadic interval of the grid.  For a block of k
+    weights and (haar_size, k) alpha, one constant per column, bit for bit."""
     grid = v.grid
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (grid.haar_size,):
-        raise ValueError("alpha must have one entry per Haar-bearing interval")
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
+    if alpha.shape != (grid.haar_size,) + v.w.shape[1:]:
+        raise ValueError("alpha needs one entry per Haar-bearing interval and weight")
+    if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
+        raise ValueError("alpha must be finite and nonnegative")
     avg = v.w.averages
     sums = subtree_sums(grid, alpha * avg[: grid.haar_size] ** 2)
-    masses = avg / grid.tree_inv_lengths  # v(I) = <v>_I |I|
-    return float((sums / masses).max())
+    sums /= avg / as_column(grid.tree_inv_lengths, avg)  # by v(I) = <v>_I |I|
+    return float(sums.max()) if alpha.ndim == 1 else sums.max(axis=0)
 
 
 # --------------------------------------------------------------------------
 # the shifted averaging kernel: table, nested-pair closed form, disjoint block
 
 
-# the kernel table shifts its atoms in blocks of at most this many leaf
-# entries: 16 atoms at depth 8, 4 at depth 10, so the same memory at any depth
+# the kernel table and verify's embedding check run in blocks of at most this
+# many leaf entries: 16 columns at depth 8, 4 at depth 10, the same at any depth
 KERNEL_BLOCK_ENTRIES = 4096
 
 

@@ -35,7 +35,8 @@ Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
 block is k functions side by side.  Every sweep slices axis 0 only, so a
 block runs through the same code as one function, each column with the
 arithmetic of a single-column call, and per-interval multipliers broadcast
-along the batch axis (as_column).
+along the batch axis (as_column).  Weights follow the same rule: a block of
+them gives one A2 characteristic and one Carleson testing constant a column.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimates import (
+    KERNEL_BLOCK_ENTRIES,
     carleson_embedding_constant,
     cm_norm,
     ell_inf_norm,
@@ -24,7 +25,6 @@ from .grid import (
     Grid,
     HaarSymbol,
     LeafFunction,
-    averages,
     haar_function,
     product_formula,
 )
@@ -85,14 +85,18 @@ def _check_orthonormality(grid: Grid) -> float:
     return float(np.abs(gram, out=gram).max())
 
 
+def _parseval_sides(grid: Grid, rng) -> tuple[np.ndarray, np.ndarray]:
+    """mean^2 + |coeff|^2, and ||f||^2, of 20 random functions in one block, by
+    one function's arithmetic: row dots, and float pow (not x * x) of means."""
+    f = _random_block(grid, rng, 20)
+    coeff, vals = (np.ascontiguousarray(a.T) for a in (f.symbol.coeff, f.values))
+    total = np.array([m**2 + c @ c for m, c in zip(f.symbol.mean.tolist(), coeff)])
+    return total, np.array([x @ x for x in vals]) / grid.leaf_count
+
+
 def _check_parseval(grid: Grid, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        f = _random_leaf(grid, rng)
-        s = f.symbol
-        total = s.mean**2 + float(s.coeff @ s.coeff)
-        worst = max(worst, abs(total - f.inner(f)) / f.inner(f))
-    return worst
+    total, norm_sq = _parseval_sides(grid, rng)
+    return float(np.max(np.abs(total - norm_sq) / norm_sq))
 
 
 def _check_product_formula(grid: Grid, rng) -> float:
@@ -214,19 +218,32 @@ def _check_shift_kernel(grid: Grid) -> float:
     return worst
 
 
-def _check_cet_factor(grid: Grid, rng) -> float:
-    worst = 0.0
-    for _ in range(100):
-        alpha = rng.uniform(0.0, 1.0, grid.haar_size)
-        v = Weight.from_values(grid, np.exp(rng.normal(0.0, 0.8, grid.leaf_count)))
-        constant = carleson_embedding_constant(alpha, v)
-        f = _random_leaf(grid, rng)
-        fv = LeafFunction(grid, f.values * v.w.values)
+def _cet_sides(grid: Grid, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per draw, the testing constant and both sides of the embedding it bounds,
+    for 100 (alpha, v, f) triples drawn one by one and run in blocks of at most
+    KERNEL_BLOCK_ENTRIES leaf entries; lhs sums and rhs dots rows as one draw."""
+    n, h = grid.leaf_count, grid.haar_size
+    width = max(1, KERNEL_BLOCK_ENTRIES // n)
+    sides = []
+    for start in range(0, 100, width):
+        alpha, v, f = (np.empty((min(width, 100 - start), m)) for m in (h, n, n))
+        for j in range(len(v)):
+            alpha[j] = rng.uniform(0.0, 1.0, h)
+            v[j] = np.exp(rng.normal(0.0, 0.8, n))
+            f[j] = rng.uniform(-1.0, 1.0, n)
+        constant = carleson_embedding_constant(alpha.T, Weight.from_values(grid, v.T))
         # sum_J a_J <v>_J^2 (<f v>_J / <v>_J)^2, the embedding the constant bounds
-        lhs = float(np.sum(alpha * averages(fv)[: grid.haar_size] ** 2))
-        rhs = 4.0 * constant * float(f.values**2 @ v.w.values) / grid.leaf_count
-        worst = max(worst, (lhs - rhs) / rhs)
-    return worst
+        fv = LeafFunction._adopt(grid, (f * v).T)
+        lhs = np.add.reduce(np.ascontiguousarray(alpha * fv.haar_averages.T**2), -1)
+        rhs = 4.0 * constant * np.array([x**2 @ y for x, y in zip(f, v)]) / n
+        sides.append((constant, lhs, rhs))
+        del fv  # let the next block's draws reuse its memory
+    return tuple(np.concatenate(side) for side in zip(*sides))
+
+
+def _check_cet_factor(grid: Grid, rng) -> float:
+    _, lhs, rhs = _cet_sides(grid, rng)
+    return float(np.max((lhs - rhs) / rhs, initial=0.0))
 
 
 def _check_cm_sandwich(grid: Grid, rng) -> float:

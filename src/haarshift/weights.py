@@ -124,6 +124,7 @@ class Weight:
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "Weight":
+        """One weight, or k from (leaf_count, k) values, range rules per column."""
         vals = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("weight values must be strictly positive and finite")
@@ -132,7 +133,7 @@ class Weight:
                 f"weight values must lie in [{TINY:g}, {1.0 / TINY:g}], "
                 "so that 1/w is a normal double"
             )
-        if vals.max() / vals.min() > MAX_DYNAMIC_RANGE:
+        if np.any(vals.max(axis=0) / vals.min(axis=0) > MAX_DYNAMIC_RANGE):
             raise ValueError(f"weight dynamic range exceeds {MAX_DYNAMIC_RANGE:g}")
         half = np.sqrt(vals)
         return cls(
@@ -200,14 +201,14 @@ def _cascade_values(eps: float, seed: int, depth: int) -> np.ndarray:
     return vals
 
 
-def a2_characteristic(weight: Weight) -> float:
-    """[w]_{A2}: max of <w>_I <1/w>_I over every interval of the grid.  The
-    two average trees are not cached on the weight: the norm rows read
-    neither again, and at depth 14 they would hold 512 KiB for the call."""
+def a2_characteristic(weight: Weight) -> float | np.ndarray:
+    """[w]_{A2}: max of <w>_I <1/w>_I over every interval (per column for a
+    block of weights).  The two average trees are not cached on the weight:
+    the norm rows read neither again; at depth 14 they would hold 512 KiB."""
     prod = averages(weight.w) * averages(weight.w_inv)
-    # Cauchy-Schwarz gives <w>_I <1/w>_I >= 1 on every I; rounding of a
-    # constant weight can land one ulp below
-    return max(1.0, float(prod.max()))
+    # <w>_I <1/w>_I >= 1 by Cauchy-Schwarz; a constant weight can round one ulp below
+    a2 = np.maximum(prod.max(axis=0), 1.0)
+    return float(a2) if prod.ndim == 1 else a2
 
 
 def disbalanced_data(sigma: Weight) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,9 @@ from haarshift import (
     HaarShift,
     LeafFunction,
     Weight,
+    averages,
     averaging_function,
+    carleson_embedding_constant,
     haar_function,
     nested_kernel_pairs,
     shift_kernel_table,
@@ -329,3 +331,30 @@ def paraproduct_weights_full(op, f: LeafFunction, adjoint: bool = False) -> np.n
     if last is not None:
         weights = as_column(last, weights) * weights
     return weights
+
+
+def cet_sides_by_draw(grid, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """verify's 100 Carleson-embedding draws one triple at a time: the
+    testing constant, sum_J a_J <f v>_J^2 and 4 C ||f||^2_{L2(v)} of each."""
+    out = []
+    for _ in range(100):
+        alpha = rng.uniform(0.0, 1.0, grid.haar_size)
+        v = Weight.from_values(grid, np.exp(rng.normal(0.0, 0.8, grid.leaf_count)))
+        constant = carleson_embedding_constant(alpha, v)
+        f = LeafFunction(grid, rng.uniform(-1.0, 1.0, grid.leaf_count))
+        fv = LeafFunction(grid, f.values * v.w.values)
+        lhs = float(np.sum(alpha * averages(fv)[: grid.haar_size] ** 2))
+        rhs = 4.0 * constant * float(f.values**2 @ v.w.values) / grid.leaf_count
+        out.append((constant, lhs, rhs))
+    return tuple(np.array(side) for side in zip(*out))
+
+
+def parseval_sides_by_draw(grid, rng) -> tuple[np.ndarray, np.ndarray]:
+    """verify's 20 Parseval draws one function at a time: mean^2 plus the
+    squared Haar coefficients, and ||f||^2, of each."""
+    out = []
+    for _ in range(20):
+        f = LeafFunction(grid, rng.uniform(-1.0, 1.0, grid.leaf_count))
+        s = f.symbol
+        out.append((s.mean**2 + float(s.coeff @ s.coeff), f.inner(f)))
+    return tuple(np.array(side) for side in zip(*out))

@@ -27,7 +27,14 @@ from haarshift.cli import (
 )
 from haarshift import Grid, WeightSpec, disbalanced_data, shift_kernel_table
 from haarshift.estimates import KERNEL_BLOCK_ENTRIES
-from haarshift.verify import CheckResult, _check_orthonormality, run_verification
+from haarshift.verify import (
+    CheckResult,
+    _cet_sides,
+    _check_orthonormality,
+    _parseval_sides,
+    run_verification,
+)
+from oracles import cet_sides_by_draw, parseval_sides_by_draw
 
 
 def _run(argv):
@@ -62,6 +69,24 @@ def test_verify_outcome_seed_independent():
     assert [code for code, _, _ in runs] == [0, 0, 0]
     names = lambda text: [l.split()[1] for l in text.splitlines() if "  " in l]
     assert names(runs[0][1]) == names(runs[1][1]) == names(runs[2][1])
+
+
+@pytest.mark.parametrize("depth", [2, 8, 10])
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_verify_blocked_draws_equal_single_draws_bit_for_bit(depth, seed):
+    # carleson_embedding_factor4 reports max(0, worst excess), which reads
+    # 0.0 whatever the draws: pin every draw's sides instead.  At depth 8
+    # the 100 CET draws run as six blocks of 16 and a short block of 4.
+    grid = Grid(depth)
+    for blocked, single in (
+        (_cet_sides, cet_sides_by_draw),
+        (_parseval_sides, parseval_sides_by_draw),
+    ):
+        rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = blocked(grid, rng), single(grid, single_rng)
+        assert [side.tobytes() for side in got] == [side.tobytes() for side in want]
+        # the later checks see the stream of single draws
+        assert rng.bit_generator.state == single_rng.bit_generator.state
 
 
 def test_verify_depth_one_is_usage_error():

@@ -217,6 +217,32 @@ def test_carleson_constant_rejects_negative_mass():
         carleson_embedding_constant(alpha, v)
     with pytest.raises(ValueError, match="one entry per Haar-bearing"):
         carleson_embedding_constant(np.zeros(grid.leaf_count), v)
+    # never a silent nan or inf
+    for bad in (math.nan, math.inf):
+        alpha[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            carleson_embedding_constant(alpha, v)
+    # a block of weights takes one column of alpha per weight
+    block = Weight.from_values(grid, np.ones((grid.leaf_count, 2)))
+    for shape in ((grid.haar_size,), (grid.haar_size, 3)):
+        with pytest.raises(ValueError, match="one entry per Haar-bearing"):
+            carleson_embedding_constant(np.zeros(shape), block)
+
+
+@pytest.mark.parametrize("depth", [2, 6, 8])
+@pytest.mark.parametrize("k", [1, 3, 4, 16])
+def test_carleson_constant_block_equals_single_calls_bit_for_bit(depth, k):
+    # k = 4 is the short last block of verify's 100 draws at depth 8
+    grid = Grid(depth)
+    rng = np.random.default_rng(depth * 100 + k)
+    alpha = rng.uniform(0.0, 1.0, (grid.haar_size, k))
+    vals = np.exp(rng.normal(0.0, 0.8, (grid.leaf_count, k)))
+    block = carleson_embedding_constant(alpha, Weight.from_values(grid, vals))
+    singles = [
+        carleson_embedding_constant(alpha[:, j], Weight.from_values(grid, vals[:, j]))
+        for j in range(k)
+    ]
+    assert block.shape == (k,) and block.tobytes() == np.array(singles).tobytes()
 
 
 def test_embedding_factor_four():

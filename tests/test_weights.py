@@ -136,6 +136,15 @@ def test_weight_dynamic_range_limit():
         make_weight(WeightSpec("step", a=1e-300, b=1.0, split=0.5), grid)
 
 
+def test_weight_block_range_rules_hold_per_column():
+    grid = Grid(1)
+    # two constant columns: the block spans 1e20, each column 1
+    block = Weight.from_values(grid, [[1e-10, 1e10], [1e-10, 1e10]])
+    assert block.w.shape == (2, 2)
+    with pytest.raises(ValueError, match="dynamic range"):
+        Weight.from_values(grid, [[1.0, 2.0], [1.0000000000000002e16, 2.0]])
+
+
 def test_weight_reciprocal_must_be_normal():
     # 1/4.5e307 = 2.22e-308 lies below the smallest normal double
     grid = Grid(1)
@@ -188,6 +197,20 @@ def test_a2_at_least_one_with_equality_iff_constant():
     assert a2_characteristic(w) > 1.0
     flat = make_weight(WeightSpec("constant", c=3.0), grid)
     assert a2_characteristic(flat) == 1.0
+
+
+def test_a2_block_equals_single_calls_bit_for_bit():
+    grid = Grid(4)
+    columns = [
+        np.ones(grid.leaf_count),
+        np.linspace(1.0, 2.0, grid.leaf_count),
+        _cascade(grid, 0.5, 3).w.values,
+    ]
+    block = a2_characteristic(Weight.from_values(grid, np.column_stack(columns)))
+    singles = [a2_characteristic(Weight.from_values(grid, c)) for c in columns]
+    assert block.tobytes() == np.array(singles).tobytes()
+    # a constant column keeps [w]_A2 = 1 beside a varying one
+    assert block[0] == 1.0 and block[1] > 1.0
 
 
 def test_a2_dual_symmetry_exact():
