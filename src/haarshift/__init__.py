@@ -21,7 +21,6 @@ from .grid import (
     LeafFunction,
     analyze,
     averages,
-    averaging_function,
     count_operations,
     haar_function,
     product_formula,

@@ -183,10 +183,15 @@ def fit_slopes(rows: list[SweepRow]) -> tuple[list[SlopeFit], list[str]]:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a renamed temp file, given the mode a new file gets
+    from open(): 0o666 less the umask, not mkstemp's private 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:
@@ -324,11 +329,11 @@ def _workers_arg(text: str) -> int:
 
 
 def _out_path(text: str) -> str:
-    """A CSV target in an existing writable directory, checked before any
-    norm is computed."""
+    """A nonempty CSV target in an existing writable directory, checked
+    before any norm is computed."""
     directory = os.path.dirname(os.path.abspath(text))
-    if os.path.isdir(text) or not os.access(directory, os.W_OK | os.X_OK):
-        raise argparse.ArgumentTypeError(f"cannot write a file at {text}")
+    if not text or os.path.isdir(text) or not os.access(directory, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
     return text
 
 

@@ -163,7 +163,8 @@ KERNEL_BLOCK_ENTRIES = 4096
 
 def _atom_block(grid: Grid, offsets: np.ndarray) -> LeafFunction:
     """The averaging atoms h_J^1 = |J|^{-1} 1_J at these flat offsets as the
-    columns of one block, each equal to averaging_function(grid, J)."""
+    columns of one block, each equal to the test oracle
+    averaging_function(grid, J) in tests/oracles.py."""
     levels = np.frexp(offsets + 1)[1] - 1
     positions = offsets + 1 - np.left_shift(1, levels)
     leaves = np.arange(grid.leaf_count)[:, None]
@@ -358,24 +359,6 @@ class CoronaDecomposition:
 
     def stopping_intervals(self) -> list[DyadicIndex]:
         return [q for gen in self.generations for q in gen]
-
-    def chains(self) -> list[list[DyadicIndex]]:
-        """All root-to-deepest stopping chains."""
-        children: dict[DyadicIndex, list[DyadicIndex]] = {}
-        for q, p in self.stopping_parent.items():
-            children.setdefault(p, []).append(q)
-        chains = []
-
-        def walk(node, path):
-            kids = children.get(node, [])
-            if not kids:
-                chains.append(path)
-                return
-            for kid in sorted(kids):
-                walk(kid, path + [kid])
-
-        walk(self.root, [self.root])
-        return chains
 
 
 def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:

@@ -37,6 +37,8 @@ block runs through the same code as one function, each column with the
 arithmetic of a single-column call, and per-interval multipliers broadcast
 along the batch axis (as_column).  Weights follow the same rule: a block of
 them gives one A2 characteristic and one Carleson testing constant a column.
+haar_function and product_formula take one function; the L2 pairing of two
+blocks, column by column, is verify._column_inner.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "LeafFunction",
     "HaarSymbol",
     "haar_function",
-    "averaging_function",
     "analyze",
     "synthesize",
     "averages",
@@ -143,14 +144,6 @@ class DyadicIndex:
     def contains(self, other: "DyadicIndex") -> bool:
         shift = other.level - self.level
         return shift >= 0 and (other.position >> shift) == self.position
-
-    def strictly_contains(self, other: "DyadicIndex") -> bool:
-        return self != other and self.contains(other)
-
-    def ancestors(self) -> Iterator["DyadicIndex"]:
-        """Strict ancestors, outermost (root) first."""
-        for lev in range(self.level):
-            yield DyadicIndex(lev, self.position >> (self.level - lev))
 
     def leaf_range(self, depth: int) -> tuple[int, int]:
         """Leaf indices covered by this interval on a depth-n grid."""
@@ -312,13 +305,6 @@ class LeafFunction:
     def constant(cls, grid: Grid, c: float) -> "LeafFunction":
         return cls(grid, np.full(grid.leaf_count, float(c)))
 
-    def inner(self, other: "LeafFunction") -> float:
-        """Exact L2([0,1)) inner product of two leaf functions."""
-        return float(self.values @ other.values) / self.grid.leaf_count
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
-
     def mean(self):
         """The mean over [0,1): a float, or one per column for a block."""
         if self._born == "values":
@@ -395,11 +381,6 @@ class HaarSymbol:
     grid: Grid
     coeff: np.ndarray  # level-contiguous, Haar-bearing levels only
     mean: float | np.ndarray
-
-    def __getitem__(self, index: DyadicIndex) -> float:
-        if index.level >= self.grid.depth:
-            raise ValueError(f"{index} is not Haar-bearing at depth {self.grid.depth}")
-        return float(self.coeff[index.flat_offset])
 
 
 # --------------------------------------------------------------------------
@@ -541,16 +522,6 @@ def haar_function(grid: Grid, index: DyadicIndex) -> LeafFunction:
     height = 2.0 ** (index.level / 2)
     vals[start:mid] = height
     vals[mid:stop] = -height
-    return LeafFunction(grid, vals)
-
-
-def averaging_function(grid: Grid, index: DyadicIndex) -> LeafFunction:
-    """h_I^1 = |I|^{-1} 1_I; pairing against it gives the average over I."""
-    if index.level > grid.depth:
-        raise ValueError(f"{index} is below the leaf level {grid.depth}")
-    vals = np.zeros(grid.leaf_count)
-    start, stop = index.leaf_range(grid.depth)
-    vals[start:stop] = 2.0**index.level
     return LeafFunction(grid, vals)
 
 

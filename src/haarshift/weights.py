@@ -10,6 +10,7 @@ conjugation identities can be tested at machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,17 +111,12 @@ class WeightSpec:
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive leaf function with cached derived powers.
-
-    Averages and Haar coefficients of each power are cached on the
-    underlying LeafFunctions.  All fields are immutable; instances are safe
-    to share across workers.
-    """
+    """Strictly positive leaf function w, or a block of k as its columns.
+    The powers 1/w, w^{1/2} and w^{-1/2} are computed on first read and
+    cached, as are the averages and Haar coefficients of each on its
+    LeafFunction: a weight read only through w holds only w."""
 
     w: LeafFunction
-    w_inv: LeafFunction
-    w_half: LeafFunction
-    w_inv_half: LeafFunction
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "Weight":
@@ -135,23 +131,23 @@ class Weight:
             )
         if np.any(vals.max(axis=0) / vals.min(axis=0) > MAX_DYNAMIC_RANGE):
             raise ValueError(f"weight dynamic range exceeds {MAX_DYNAMIC_RANGE:g}")
-        half = np.sqrt(vals)
-        return cls(
-            w=LeafFunction(grid, vals),
-            w_inv=LeafFunction(grid, 1.0 / vals),
-            w_half=LeafFunction(grid, half),
-            w_inv_half=LeafFunction(grid, 1.0 / half),
-        )
+        return cls(LeafFunction(grid, vals))
 
     @property
     def grid(self) -> Grid:
         return self.w.grid
 
-    def dual(self) -> "Weight":
-        """Swap w and 1/w; fixes the A2 characteristic exactly."""
-        return Weight(
-            w=self.w_inv, w_inv=self.w, w_half=self.w_inv_half, w_inv_half=self.w_half
-        )
+    @cached_property
+    def w_inv(self) -> LeafFunction:
+        return LeafFunction(self.grid, 1.0 / self.w.values)
+
+    @cached_property
+    def w_half(self) -> LeafFunction:
+        return LeafFunction(self.grid, np.sqrt(self.w.values))
+
+    @cached_property
+    def w_inv_half(self) -> LeafFunction:
+        return LeafFunction(self.grid, 1.0 / self.w_half.values)
 
 
 def make_weight(spec: WeightSpec, grid: Grid) -> Weight:

@@ -10,7 +10,6 @@ from haarshift import (
     LeafFunction,
     Weight,
     averages,
-    averaging_function,
     carleson_embedding_constant,
     haar_function,
     nested_kernel_pairs,
@@ -22,13 +21,68 @@ from haarshift.norms import NormResult, _start_vector, lanczos_top
 from haarshift.operators import DyadicOperator
 
 
+def strictly_contains(I: DyadicIndex, J: DyadicIndex) -> bool:
+    return I != J and I.contains(J)
+
+
+def ancestors(I: DyadicIndex):
+    """Strict ancestors of I, outermost (root) first."""
+    for lev in range(I.level):
+        yield DyadicIndex(lev, I.position >> (I.level - lev))
+
+
+def averaging_function(grid, index: DyadicIndex) -> LeafFunction:
+    """h_I^1 = |I|^{-1} 1_I; pairing against it gives the average over I."""
+    if index.level > grid.depth:
+        raise ValueError(f"{index} is below the leaf level {grid.depth}")
+    vals = np.zeros(grid.leaf_count)
+    start, stop = index.leaf_range(grid.depth)
+    vals[start:stop] = 2.0**index.level
+    return LeafFunction(grid, vals)
+
+
+def inner(f: LeafFunction, g: LeafFunction) -> float:
+    """Exact L2([0,1)) inner product of two leaf functions."""
+    return float(f.values @ g.values) / f.grid.leaf_count
+
+
+def l2_norm(f: LeafFunction) -> float:
+    return float(np.sqrt(inner(f, f)))
+
+
+def haar_coefficient(symbol, index: DyadicIndex) -> float:
+    """The Haar coefficient at one interval, refused below the Haar levels."""
+    if index.level >= symbol.grid.depth:
+        raise ValueError(f"{index} is not Haar-bearing at depth {symbol.grid.depth}")
+    return float(symbol.coeff[index.flat_offset])
+
+
+def corona_chains(decomp) -> list:
+    """All root-to-deepest stopping chains of a CoronaDecomposition."""
+    children = {}
+    for q, p in decomp.stopping_parent.items():
+        children.setdefault(p, []).append(q)
+    chains = []
+
+    def walk(node, path):
+        kids = children.get(node, [])
+        if not kids:
+            chains.append(path)
+            return
+        for kid in sorted(kids):
+            walk(kid, path + [kid])
+
+    walk(decomp.root, [decomp.root])
+    return chains
+
+
 def is_left_child(index: DyadicIndex) -> bool:
     return index.level >= 1 and index.position % 2 == 0
 
 
 def delta_sign(J: DyadicIndex, I: DyadicIndex) -> int:
     """+1 if J lies in the left child of I, -1 if in the right, else 0."""
-    if not I.strictly_contains(J):
+    if not strictly_contains(I, J):
         return 0
     return 1 if I.left.contains(J) else -1
 
@@ -207,7 +261,11 @@ def product_formula_coeff(f, g, I) -> float:
     inner_sum = (sub[I.left.flat_offset] - sub[I.right.flat_offset]) * 2.0 ** (
         I.level / 2
     )
-    return float(inner_sum + fs[I] * g.averages[I.flat_offset] + gs[I] * f.averages[I.flat_offset])
+    return float(
+        inner_sum
+        + fs.coeff[I.flat_offset] * g.averages[I.flat_offset]
+        + gs.coeff[I.flat_offset] * f.averages[I.flat_offset]
+    )
 
 
 def s_coefficient_walk(J) -> float:
@@ -216,7 +274,7 @@ def s_coefficient_walk(J) -> float:
         sqrt(2) * sum_{K: K_left strictly contains J} delta(J, K_left) / |K|.
     """
     total = 0.0
-    for anc in J.ancestors():
+    for anc in ancestors(J):
         if is_left_child(anc):
             # anc = K_left for K = anc.parent; 1/|K| = 2^{level(anc) - 1}
             total += delta_sign(J, anc) * 2.0 ** (anc.level - 1)
@@ -232,7 +290,7 @@ def ancestor_sums_walk(grid, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     for lev in range(levels):
         for L in grid.indices(lev):
             total = np.zeros(left.shape[1:])
-            for J in L.ancestors():
+            for J in ancestors(L):
                 total = total + (left if J.left.contains(L) else right)[J.flat_offset]
             out[L.flat_offset] = total
     return out
@@ -356,5 +414,5 @@ def parseval_sides_by_draw(grid, rng) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(20):
         f = LeafFunction(grid, rng.uniform(-1.0, 1.0, grid.leaf_count))
         s = f.symbol
-        out.append((s.mean**2 + float(s.coeff @ s.coeff), f.inner(f)))
+        out.append((s.mean**2 + float(s.coeff @ s.coeff), inner(f, f)))
     return tuple(np.array(side) for side in zip(*out))

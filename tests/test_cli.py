@@ -289,6 +289,31 @@ def test_norms_unwritable_out_usage_error(tmp_path):
     assert not out_file.parent.exists()
 
 
+def test_empty_out_is_a_usage_error():
+    for argv in (
+        ["norms", "--weight", "power:alpha=0.5", "--depth", "3"],
+        ["sweep", "--family", "power", "--params", "0.1,0.3,0.5", "--depth", "3"],
+    ):
+        code, out, err = _run(argv + ["--out", ""])
+        assert code == 2, argv
+        assert out == "" and "cannot write a file at ''" in err, argv
+
+
+@pytest.mark.parametrize("umask", (0o022, 0o027), ids=("022", "027"))
+def test_out_file_gets_the_umask_mode(tmp_path, umask):
+    out_file = tmp_path / "rows.csv"
+    argv = ["norms", "--weight", "constant:c=1", "--depth", "2", "--out", str(out_file)]
+    saved = os.umask(umask)
+    try:
+        assert _run(argv)[0] == 0
+        assert out_file.stat().st_mode & 0o777 == 0o666 & ~umask
+        out_file.chmod(0o600)  # overwriting gives the same mode
+        assert _run(argv)[0] == 0
+        assert out_file.stat().st_mode & 0o777 == 0o666 & ~umask
+    finally:
+        os.umask(saved)
+
+
 def test_norms_identity_shift_bounded_ratios():
     code, out, _ = _run(
         ["norms", "--weight", "power:alpha=0.7", "--depth", "6",

@@ -24,7 +24,6 @@ from haarshift import (
     SHIFT_KINDS,
     WeightSpec,
     averages,
-    averaging_function,
     conjugated_shift,
     count_operations,
     dense_norm,
@@ -40,13 +39,17 @@ from haarshift import (
 )
 from haarshift import estimates
 from oracles import (
+    averaging_function,
     explicit_paraproduct_matrix,
+    inner,
     is_left_child,
     kernel_table_by_columns,
+    l2_norm,
     materialize_by_columns,
     nested_kernel_walk,
     paraproduct_weights_full,
     s_coefficient_walk,
+    strictly_contains,
 )
 
 
@@ -122,7 +125,7 @@ def test_paraproduct_dense_matrix_brute_force():
     for kind, (out_k, in_k) in kinds.items():
         expected = np.zeros(grid.leaf_count)
         for i in grid.haar_indices():
-            pairing = f.inner(atoms[in_k][i])
+            pairing = inner(f, atoms[in_k][i])
             expected += symbol[i.flat_offset] * pairing * atoms[out_k][i].values
         got = Paraproduct(grid, symbol, kind).apply(f)
         assert np.abs(got.values - expected).max() < 1e-12
@@ -355,7 +358,7 @@ def test_half_shift_isometry_below_truncation():
         coeff = rng.normal(size=grid.haar_size)
         coeff[Grid.level_slice(grid.depth - 1)] = 0.0
         f = synthesize(HaarSymbol(grid, coeff, 0.0))
-        assert shift.apply(f).norm() == pytest.approx(f.norm(), abs=1e-10)
+        assert l2_norm(shift.apply(f)) == pytest.approx(l2_norm(f), abs=1e-10)
 
 
 def test_shift_adjoints_against_dense():
@@ -446,7 +449,7 @@ def test_adjoint_consistency_all_operators():
     for op in ops:
         for _ in range(20):
             f, g = _rand(grid, rng), _rand(grid, rng)
-            assert abs(op.apply(f).inner(g) - f.inner(op.adjoint_apply(g))) < 1e-11
+            assert abs(inner(op.apply(f), g) - inner(f, op.adjoint_apply(g))) < 1e-11
 
 
 def test_matrix_free_equals_dense_for_resolution():
@@ -545,14 +548,14 @@ def test_easy1_rank_sum_oracle():
     grid = Grid(6)
     rng = np.random.default_rng(16)
     w = _cascade(grid, 0.4, 9)
-    hat_half = w.w_half.symbol
-    hat_inv = w.w_inv_half.symbol
+    hat_half = w.w_half.symbol.coeff
+    hat_inv = w.w_inv_half.symbol.coeff
     f = _rand(grid, rng)
     expected = np.zeros(grid.leaf_count)
     for idx in grid.haar_indices():
         if idx.level > grid.depth - 2:
             continue
-        coeff = hat_half[idx.left] * hat_inv[idx]
+        coeff = hat_half[idx.left.flat_offset] * hat_inv[idx.flat_offset]
         expected += (
             coeff * f.averages[idx.flat_offset] * averaging_function(grid, idx.left).values
         )
@@ -601,7 +604,7 @@ def test_kernel_constant_in_l_for_right_children_and_root():
         if is_left_child(j):
             continue
         for l in grid.all_indices():
-            if j.strictly_contains(l):
+            if strictly_contains(j, l):
                 assert table[l.flat_offset, j.flat_offset] == pytest.approx(
                     s[j.flat_offset], abs=1e-12
                 )
@@ -664,6 +667,6 @@ def test_nested_kernel_pairs_equal_ancestor_walk_bit_for_bit():
             (jj.flat_offset, ll.flat_offset): nested_kernel_walk(jj, ll)
             for jj in indices
             for ll in indices
-            if jj.strictly_contains(ll)
+            if strictly_contains(jj, ll)
         }
         assert got == expected

@@ -10,12 +10,12 @@ from haarshift import (
     Weight,
     WeightSpec,
     a2_characteristic,
-    averaging_function,
+    corona,
     disbalanced_data,
     haar_function,
     make_weight,
 )
-from oracles import weighted_average
+from oracles import averaging_function, weighted_average
 
 
 def _cascade(grid, eps=0.4, seed=0):
@@ -213,12 +213,6 @@ def test_a2_block_equals_single_calls_bit_for_bit():
     assert block[0] == 1.0 and block[1] > 1.0
 
 
-def test_a2_dual_symmetry_exact():
-    grid = Grid(8)
-    w = _cascade(grid, 0.45, 21)
-    assert a2_characteristic(w) == a2_characteristic(w.dual())
-
-
 def test_cauchy_schwarz_average_products():
     grid = Grid(7)
     w = _cascade(grid, 0.5, 5)
@@ -240,6 +234,35 @@ def test_pointwise_reciprocals_exact():
     w = _cascade(grid, 0.4, 2)
     assert np.abs(w.w.values * w.w_inv.values - 1.0).max() < 3e-16
     assert np.abs(w.w_half.values * w.w_inv_half.values - 1.0).max() < 3e-16
+
+
+POWERS = ("w_inv", "w_half", "w_inv_half")
+
+
+def test_fresh_weight_holds_only_w():
+    w = Weight.from_values(Grid(4), np.linspace(1.0, 2.0, 16))
+    assert not set(POWERS) & set(vars(w))
+
+
+def test_disbalanced_data_and_corona_read_no_power():
+    w = _cascade(Grid(8), 0.45, 3)
+    disbalanced_data(w)
+    corona(w, DyadicIndex(0, 0), 2.0)
+    assert not set(POWERS) & set(vars(w))
+
+
+@pytest.mark.parametrize("k", (None, 3))
+def test_powers_on_first_read_match_pointwise_arithmetic_bit_for_bit(k):
+    grid = Grid(6)
+    shape = grid.leaf_count if k is None else (grid.leaf_count, k)
+    vals = np.exp(np.random.default_rng(31).normal(0.0, 0.8, shape))
+    w = Weight.from_values(grid, vals)
+    expected = (1.0 / vals, np.sqrt(vals), 1.0 / np.sqrt(vals))
+    for name, want in zip(POWERS, expected):
+        assert name not in vars(w)
+        got = getattr(w, name)
+        assert vars(w)[name] is got
+        assert got.values.shape == want.shape and np.array_equal(got.values, want)
 
 
 # -- weighted averages and disbalanced data ----------------------------------
