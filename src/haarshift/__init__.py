@@ -8,7 +8,7 @@ Core layers:
 - operators: paraproducts, multipliers, Haar shifts, weighted resolution
 - norms: exact norms from operator structure, matrix-free Lanczos norms,
   and a dense LAPACK oracle
-- estimates: square functions, Carleson embedding, corona, inequality battery,
+- estimates: sharp ratio, Carleson embedding, corona, inequality battery,
   the shifted averaging kernel with its closed forms on every comparable pair,
   and the norm of its disjoint-pair block, matrix-free through the engine
 - cli: verification suite, norm sweeps, reports
@@ -67,19 +67,14 @@ from .estimates import (
     carleson_embedding_constant,
     cm_norm,
     corona,
-    corona_members,
-    corona_sum,
     disjoint_block_norm,
     ell_inf_norm,
     inequality_battery,
     nested_kernel_pairs,
     s_coefficients,
-    s_pi,
     s_pi_sharp_ratio,
     shift_kernel_errors,
     shift_kernel_table,
-    square_function,
-    weighted_square_norm_sq,
 )
 
 __version__ = "0.1.0"

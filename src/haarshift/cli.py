@@ -321,11 +321,14 @@ def _depth_arg(lo: int, hi: int):
     return parse
 
 
-def _workers_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"workers must be nonnegative, got {value}")
-    return value
+def _nonnegative_arg(name: str):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be nonnegative, got {value}")
+        return value
+
+    return parse
 
 
 def _out_path(text: str) -> str:
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-identity suite")
     p.add_argument("--depth", type=_depth_arg(2, 10), required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonnegative_arg("seed"), default=1)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_depth_arg(2, MAX_NORM_DEPTH), required=True)
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonnegative_arg("seed"), default=1)
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_norms)
 
@@ -368,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_depth_arg(2, MAX_NORM_DEPTH), required=True)
     p.add_argument("--shift", choices=SHIFT_KINDS, default="half")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonnegative_arg("seed"), default=1)
     p.add_argument("--out", type=_out_path, default=None)
-    p.add_argument("--workers", type=_workers_arg, default=None,
+    p.add_argument("--workers", type=_nonnegative_arg("workers"), default=None,
                    help="process-pool size; 0, 1 or unset run in-process")
     p.add_argument("--weight-seed", type=int, default=None,
                    help="seed of the cascade weights (default: --seed)")

@@ -1,7 +1,8 @@
-"""Square functions, sequence norms, Carleson embedding constants, the
-stopping-time corona construction, the shifted averaging kernel with its
-closed forms on comparable pairs and its matrix-free disjoint-pair block,
-and the battery of weighted Carleson-sum inequalities.
+"""The sharp constant of the parent-average form, sequence norms, Carleson
+embedding constants, the stopping-time corona construction, the shifted
+averaging kernel with its closed forms on comparable pairs and its
+matrix-free disjoint-pair block, and the battery of weighted Carleson-sum
+inequalities.
 
 Empirical constants are exact maxima over the finite grid, never sampled.
 """
@@ -22,16 +23,12 @@ from .grid import (
     _downward_tree,
     as_column,
     subtree_sums,
-    sum_interval_constants,
 )
 from .norms import DEFAULT_MAX_ITER, ConvergenceError, _dot, lanczos_top, operator_norm
 from .operators import DyadicOperator, HaarShift, Paraproduct
 from .weights import Weight
 
 __all__ = [
-    "square_function",
-    "s_pi",
-    "weighted_square_norm_sq",
     "s_pi_sharp_ratio",
     "ell_inf_norm",
     "cm_norm",
@@ -42,8 +39,6 @@ __all__ = [
     "shift_kernel_errors",
     "CoronaDecomposition",
     "corona",
-    "corona_members",
-    "corona_sum",
     "BatteryRow",
     "InequalityReport",
     "inequality_battery",
@@ -54,30 +49,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# square functions
-
-
-def square_function(f: LeafFunction) -> LeafFunction:
-    """Sf(x) = sqrt( sum_I fhat(I)^2 h_I^1(x) ) over Haar-bearing I."""
-    grid = f.grid
-    consts = f.symbol.coeff**2 * grid.haar_inv_lengths
-    return LeafFunction(grid, np.sqrt(sum_interval_constants(grid, consts)))
-
-
-def s_pi(f: LeafFunction) -> LeafFunction:
-    """Modified square function: each I spreads fhat(I)^2 / |I| over the
-    parent of I, with the root acting as its own parent."""
-    grid = f.grid
-    sq = f.symbol.coeff**2 * grid.haar_inv_lengths
-    consts = np.zeros(grid.haar_size)
-    consts[0] = sq[0]  # root term, pi(root) = root
-    consts[: grid.haar_size // 2] += sq[1::2] + sq[2::2]
-    return LeafFunction(grid, np.sqrt(sum_interval_constants(grid, consts)))
-
-
-def weighted_square_norm_sq(f: LeafFunction, v: LeafFunction) -> float:
-    """|Sf|^2 in L2(v), which collapses to sum_I fhat(I)^2 <v>_I."""
-    return float(np.sum(f.symbol.coeff**2 * v.averages[: v.grid.haar_size]))
+# the sharp constant of the parent-average form
 
 
 def _parent_averages(grid: Grid, avg_haar: np.ndarray) -> np.ndarray:
@@ -103,13 +75,12 @@ def s_pi_sharp_ratio(
     buf = np.empty_like(u)
     u_norm_sq = _dot(u, u, buf)
 
-    def project(x: np.ndarray) -> np.ndarray:
-        return x - (_dot(u, x, buf) / u_norm_sq) * u
+    def project(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.subtract(x, (_dot(u, x, buf) / u_norm_sq) * u, out=out)
 
-    def matvec(x: np.ndarray) -> np.ndarray:
+    def matvec(x: np.ndarray, out: np.ndarray) -> None:
         y = project(x) * u
-        z = d.apply(LeafFunction._adopt(grid, y)).values * u
-        return project(z)
+        project(d.apply(LeafFunction._adopt(grid, y)).values * u, out)
 
     rng = np.random.default_rng(seed)
     x0 = project(rng.uniform(-1.0, 1.0, grid.leaf_count))
@@ -377,26 +348,6 @@ def corona(w: Weight, root: DyadicIndex, gamma: float) -> CoronaDecomposition:
         top[kids] = np.where(avg[kids] > gamma * avg[inherited], kids, inherited)
     top.setflags(write=False)
     return CoronaDecomposition(root=root, gamma=gamma, top=top)
-
-
-def corona_members(decomp: CoronaDecomposition, G: DyadicIndex) -> np.ndarray:
-    """Flat offsets, in flat order, of the corona of the stopping interval
-    G: inside G but in no stopping child of G."""
-    g = G.flat_offset
-    if not (g < decomp.top.size and decomp.top[g] == g):
-        raise ValueError(f"{G} is not a stopping interval of this decomposition")
-    return np.flatnonzero(decomp.top == g)
-
-
-def corona_sum(decomp: CoronaDecomposition, w: Weight) -> float:
-    """sum over stopping intervals G of <w>_G^2 * (1/w)(G), the quantity
-    dominating the nested Carleson sum in the stopping-time argument."""
-    avg_w, avg_inv = w.w.averages, w.w_inv.averages
-    total = 0.0
-    for g in decomp.stopping_intervals():
-        i = g.flat_offset
-        total += float(avg_w[i]) ** 2 * float(avg_inv[i]) * g.length
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -1,44 +1,34 @@
 """Finite dyadic grid on [0,1): intervals, Haar analysis, exact averages.
 
 Functions are piecewise constant on the 2**depth finest-level intervals, so
-every integral is a finite sum and identities can be asserted at machine
-precision.  Per-interval data is laid out level-contiguously: the value for
-the interval (level, position) sits at flat offset 2**level - 1 + position.
-Levels 0..depth-1 carry Haar functions (both children exist); level depth is
-the leaf level.  The layout is a binary heap: offset i has its children at
-2i+1 and 2i+2, so on a Haar-indexed array levels 0..depth-2 are
-[:haar_size // 2], their left children [1::2] and right children [2::2].
+every integral is a finite sum and identities hold at machine precision.
+Per-interval data is level-contiguous: interval (level, position) sits at
+flat offset 2**level - 1 + position; levels 0..depth-1 carry Haar functions
+and level depth is the leaf level.  The layout is a binary heap: offset i
+has its children at 2i+1 and 2i+2, so on a Haar-indexed array levels
+0..depth-2 are [:haar_size // 2], their left children [1::2] and right
+children [2::2].  Each sweep fills only the levels its reader uses (a
+synthesis for Haar-level averages stops at depth-1; atom weights have no
+coefficient on the finest Haar level, where each h^1_I is constant).
 
-Each sweep fills only the levels its reader uses.  averages and the
-integral tree cover levels 0..depth.  A synthesis, one _downward_tree from
-the mean (as is the half shift's ancestor sum s in estimates), stops at the
-level it is asked for: depth for leaf values and the full average tree,
-depth-1 for LeafFunction.haar_averages, the only averages a paraproduct
-reads.  A subtree sum fills the Haar levels 0..depth-1 (subtree_sums pads
-the leaf level with zeros), and an atoms-born function's Haar coefficients
-are differences over levels 0..depth-2, since every h^1_I is constant on
-the two children of a finest-level interval.
+A function has three forms: leaf values, Haar coefficients with the mean,
+and averaging-atom weights (sum_I u_I h^1_I over Haar-bearing I).  A
+LeafFunction holds one and derives the others lazily, cached and read-only.
+It has two births: the constructor LeafFunction(grid, values) copies its
+values, and the private LeafFunction._adopt takes any form as a fresh array
+or a view of one, without a copy, and sets it read-only.  Nothing may write
+an adopted array through another reference while the function is alive.
+Between operator kernels a function travels as a bare form (born, data,
+mean), which _read sweeps with the lazy properties' arithmetic.  Writeable
+form data belongs to the one kernel that reads it, which may write over it
+(_read does so only in a workspace); read-only data (a LeafFunction's, the
+engine's vector) is only read.  Sweeps write where their caller says.
+averages(f) and LeafFunction.averages hold I's average at I.flat_offset.
 
-A LeafFunction has two births, and its data is read-only.  The public
-constructor LeafFunction(grid, values) copies its leaf values.  The private
-LeafFunction._adopt takes leaf values, Haar coefficients with a mean, or
-averaging-atom weights as a fresh array, or a view of one, without a copy
-and sets it read-only.  Operators adopt the products they make, and the
-norm engine its Lanczos vector, so one T*T step allocates only the arrays
-it returns.  Nothing may write an adopted array through another reference
-while the function that adopted it is alive: the engine writes its vector
-again only after the matvec returns.  averages(f) and
-LeafFunction.averages are the read-only average tree itself, the average
-over interval I at I.flat_offset.
-
-Leaf and interval data may carry a trailing batch axis: an (leaf_count, k)
-block is k functions side by side.  Every sweep slices axis 0 only, so a
-block runs through the same code as one function, each column with the
-arithmetic of a single-column call, and per-interval multipliers broadcast
-along the batch axis (as_column).  Weights follow the same rule: a block of
-them gives one A2 characteristic and one Carleson testing constant a column.
-haar_function and product_formula take one function; the L2 pairing of two
-blocks, column by column, is verify._column_inner.
+Data may carry a trailing batch axis: a (leaf_count, k) block is k
+functions (or weights) side by side.  Sweeps slice axis 0 only, so each
+column gets a single-column call's arithmetic, and per-interval factors
+broadcast along the batch axis (as_column).
 """
 
 from __future__ import annotations
@@ -164,16 +154,16 @@ class Grid:
         if self.depth < 1:
             raise ValueError("grid depth must be at least 1")
 
-    @property
+    @cached_property
     def leaf_count(self) -> int:
         return 1 << self.depth
 
-    @property
+    @cached_property
     def haar_size(self) -> int:
         """Number of Haar-bearing intervals (levels 0..depth-1)."""
         return (1 << self.depth) - 1
 
-    @property
+    @cached_property
     def tree_size(self) -> int:
         """Number of intervals over all levels 0..depth."""
         return (1 << (self.depth + 1)) - 1
@@ -255,17 +245,33 @@ def _root_value(tree: np.ndarray):
     return row
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _values_mean(values: np.ndarray):
+    # each column summed in a single vector's (pairwise) order, so a block's
+    # means equal its columns' bit for bit
+    mean = np.ascontiguousarray(values.T).mean(axis=-1)
+    return float(mean) if values.ndim == 1 else mean
+
+
+class _Levels:
+    """Views of a level-contiguous array, made once: level[l] holds level
+    l's rows, left[l] and right[l] their even and odd rows."""
+
+    def __init__(self, grid: Grid, array: np.ndarray):
+        self.array = array
+        self.level = [array[s] for s in grid.level_slices[: len(array).bit_length()]]
+        self.left = [rows[0::2] for rows in self.level]
+        self.right = [rows[1::2] for rows in self.level]
+
+
 class LeafFunction:
     """Real function piecewise constant on the leaves of a dyadic grid, or a
-    block of k such functions held as the columns of (leaf_count, k) data.
-
-    A LeafFunction is born from leaf values, from Haar coefficients with a
-    mean, or from averaging-atom weights sum_I u_I h^1_I over Haar-bearing
-    I (see the module docstring for its two births).  values, symbol,
-    averages and mean() are derived lazily from the birth form, cached, and
-    read-only, so operators hand each other Haar data without a round trip
-    through leaf values.  shape is the shape of values, known at birth.
-    """
+    block of k of them as the columns of (leaf_count, k) data, held in one
+    form (see the module docstring); shape is the shape of values."""
 
     grid: Grid
     shape: tuple
@@ -277,12 +283,9 @@ class LeafFunction:
         self.__dict__.update(grid=grid, shape=vals.shape, _born="values", values=vals)
 
     @classmethod
-    def _adopt(
-        cls, grid: Grid, data: np.ndarray, mean=None, atoms: bool = False
-    ) -> "LeafFunction":
+    def _adopt(cls, grid: Grid, data: np.ndarray, mean=None, atoms: bool = False):
         """The adopting birth: leaf values, Haar coefficients with this mean,
-        or (atoms) averaging-atom weights, taken without a copy and set
-        read-only (see the module docstring for who may still write them)."""
+        or (atoms) averaging-atom weights, set read-only, not copied."""
         data.setflags(write=False)
         if atoms:
             born, form = "atoms", {"_atoms": data}
@@ -308,22 +311,14 @@ class LeafFunction:
     def mean(self):
         """The mean over [0,1): a float, or one per column for a block."""
         if self._born == "values":
-            # each column summed in a single vector's (pairwise) order, so
-            # a block's means equal its columns' bit for bit
-            mean = np.ascontiguousarray(self.values.T).mean(axis=-1)
-        else:
-            mean = self.symbol.mean
+            return _values_mean(self.values)
+        mean = self.symbol.mean
         return float(mean) if len(self.shape) == 1 else mean
 
     @cached_property
     def values(self) -> np.ndarray:
         if self._born == "atoms":
-            atoms = self._atoms
-            consts = atoms * as_column(self.grid.haar_inv_lengths, atoms)
-            _tally(consts.size)
-            vals = sum_interval_constants(self.grid, consts)
-            vals.setflags(write=False)
-            return vals
+            return _frozen(_read(self.grid, ("atoms", self._atoms, None), "values"))
         return self.averages[self.grid.level_slices[-1]]
 
     @cached_property
@@ -332,45 +327,30 @@ class LeafFunction:
         self.__dict__.pop("_haar_averages", None)
         if self._born == "values":
             return averages(self)
-        return _synthesis_tree(self.symbol)
+        return _frozen(_synthesis_tree(self.grid, self.symbol.coeff, self.symbol.mean))
 
     @property
     def haar_averages(self) -> np.ndarray:
-        """averages[: haar_size] (levels 0..depth-1) from the cheapest sweep
-        for the birth form, bit for bit: the integral tree scaled on the Haar
-        levels only for leaf values, else a synthesis that stops one level
-        above the leaves.  A full average tree already held is read."""
+        """averages[: haar_size], bit for bit, from the cheapest sweep for
+        the form (or the full tree, when held)."""
         if "averages" in self.__dict__:
             return self.averages[: self.grid.haar_size]
         return self._haar_averages
 
     @cached_property
     def _haar_averages(self) -> np.ndarray:
-        if self._born == "values":
-            ints = _integral_tree(self)[: self.grid.haar_size]
-            out = ints * as_column(self.grid.haar_inv_lengths, ints)
-            _tally(out.size)
-        else:
-            out = _synthesis_tree(self.symbol, self.grid.depth - 1)
-        out.setflags(write=False)
-        return out
+        s = None if self._born == "values" else self.symbol
+        form = ("values", self.values, None) if s is None else ("symbol", s.coeff, s.mean)
+        return _frozen(_read(self.grid, form, "1"))
 
     @cached_property
     def symbol(self) -> "HaarSymbol":
         if self._born == "values":
             return analyze(self)
-        # <h^1_I, h_J> = +-|J|^{-1/2} for I inside J-/J+, else 0; on the
-        # finest Haar level both children are leaves, which hold no atom
         grid, atoms = self.grid, self._atoms
-        half = grid.haar_size // 2
-        inside = _subtree_sums_into(grid, atoms, np.empty(atoms.shape))
-        coeff = np.empty(atoms.shape)
-        np.subtract(inside[1::2], inside[2::2], out=coeff[:half])
-        coeff[:half] *= as_column(grid.haar_inv_sqrt_lengths[:half], coeff)
-        coeff[half:] = 0.0
-        _tally(2 * coeff[:half].size)
-        coeff.setflags(write=False)
-        return HaarSymbol(grid, coeff, _root_value(inside))
+        inside = _subtree_sums_into(grid, atoms, _Levels(grid, np.empty(atoms.shape)))
+        coeff, mean = _child_differences(grid, inside)
+        return HaarSymbol(grid, _frozen(coeff), mean)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,126 +363,182 @@ class HaarSymbol:
     mean: float | np.ndarray
 
 
+def _read(grid: Grid, src, want: str, ws=None, into: np.ndarray | None = None):
+    """What a kernel reads of src: want "0" (Haar coefficients), "1" (Haar-
+    level averages), "values" or "mean".  A LeafFunction serves its cached
+    properties; a form, born "values", "symbol" or "atoms", is swept with
+    their arithmetic, into fresh arrays or, given ws, into `into` or over
+    the form's writeable data where they serve, else ws's tree buffer."""
+    if isinstance(src, LeafFunction):
+        if want == "0":
+            return src.symbol.coeff
+        if want == "1":
+            return src.haar_averages
+        return src.values if want == "values" else src.mean()
+    born, data, mean = src
+    if born == "symbol" and want == "0" or born == "values" and want == "values":
+        return data
+    if born == "values" and want == "mean":
+        return _values_mean(data)
+    n, levels = grid.haar_size, None if ws is None else ws.levels
+    tree = None if levels is None else levels.array
+    head, tail = (None, None) if tree is None else (tree[:n], tree[n : 2 * n])
+    rows = None if into is None else into[:n]
+    own = data[:n] if ws is not None and data.flags.writeable else None
+    if born == "values":
+        ints = _integral_tree(grid, data, levels)
+        if want == "0":
+            return _child_differences(grid, ints, _or(rows, own))[0]
+        scale = as_column(grid.haar_inv_lengths, ints)
+        avg = np.multiply(ints[:n], scale, out=_or(_or(rows, own), head))
+        _tally(avg.size)
+        return avg
+    if born == "atoms":
+        if want == "values":
+            # the constants u_I / |I|, summed over the intervals holding each leaf
+            scale = as_column(grid.haar_inv_lengths, data)
+            consts = np.multiply(data, scale, out=_or(head, own))
+            _tally(consts.size)
+            levels = _Levels(grid, consts) if levels is None else levels
+            return sum_interval_constants(grid, consts, into, levels)
+        inside = _Levels(grid, np.empty(data.shape)) if levels is None else levels
+        inside = _subtree_sums_into(grid, data, inside)[:n]
+        coeff = _or(_or(rows, own) if want == "0" else own, tail)
+        data, mean = _child_differences(grid, inside, coeff)
+    if want in ("0", "mean"):
+        return data if want == "0" else mean
+    writeable = data if ws is not None and data.flags.writeable else None
+    if want == "1":
+        return _synthesis_tree(grid, data, mean, grid.depth - 1, levels, _or(tail, writeable))
+    tree = _synthesis_tree(grid, data, mean, None, levels, _or(writeable, rows))
+    return tree[grid.level_slices[-1]]
+
+
+def _or(array, fallback):
+    return fallback if array is None else array
+
+
 # --------------------------------------------------------------------------
 # transforms: one upward or downward sweep, O(2**depth) arithmetic
 
 
-def _integral_tree(f: LeafFunction) -> np.ndarray:
-    """Integral of f over every interval, computed by one upward sweep."""
-    n = f.grid.depth
-    slices = f.grid.level_slices
-    vals = f.values
-    tree = np.empty((f.grid.tree_size,) + vals.shape[1:])
-    np.multiply(vals, 2.0**-n, out=tree[slices[n]])
+def _integral_tree(grid: Grid, vals: np.ndarray, levels=None) -> np.ndarray:
+    """Integral of vals over every interval, one upward sweep, into levels."""
+    n = grid.depth
+    if levels is None:
+        levels = _Levels(grid, np.empty((grid.tree_size,) + vals.shape[1:]))
+    np.multiply(vals, 2.0**-n, out=levels.level[n])
     for lev in range(n - 1, -1, -1):
-        child = tree[slices[lev + 1]]
-        np.add(child[0::2], child[1::2], out=tree[slices[lev]])
+        np.add(levels.left[lev + 1], levels.right[lev + 1], out=levels.level[lev])
     # one operation per entry: the leaf scaling, then one add per parent
-    _tally(tree.size)
-    return tree
+    _tally(levels.array.size)
+    return levels.array
 
 
 def averages(f: LeafFunction) -> np.ndarray:
     """Averages of f over all dyadic intervals, levels 0..depth
     level-contiguous and read-only, one upward sweep."""
-    tree = _integral_tree(f)
+    tree = _integral_tree(f.grid, f.values)
     tree *= as_column(f.grid.tree_inv_lengths, tree)
     _tally(tree.size)
-    tree.setflags(write=False)
-    return tree
+    return _frozen(tree)
+
+
+def _child_differences(grid: Grid, tree: np.ndarray, out: np.ndarray | None = None):
+    """Haar coefficients (into out) and mean from integrals over levels 0..m:
+    (tree[2i+1] - tree[2i+2]) |I|^{-1/2} on the parent rows, 0 below."""
+    rows = len(tree) // 2
+    coeff = np.empty((grid.haar_size,) + tree.shape[1:]) if out is None else out
+    head = coeff[:rows]
+    np.subtract(tree[1::2], tree[2::2], out=head)
+    head *= as_column(grid.haar_inv_sqrt_lengths[:rows], head)
+    if rows < len(coeff):
+        coeff[rows:] = 0.0
+    _tally(2 * head.size)
+    return coeff, _root_value(tree)
 
 
 def analyze(f: LeafFunction) -> HaarSymbol:
     """Haar coefficients of f plus the mean, one upward sweep."""
-    ints = _integral_tree(f)
-    coeff = np.subtract(ints[1::2], ints[2::2])
-    coeff *= as_column(f.grid.haar_inv_sqrt_lengths, coeff)
-    _tally(2 * coeff.size)
-    coeff.setflags(write=False)
-    return HaarSymbol(f.grid, coeff, _root_value(ints))
+    coeff, mean = _child_differences(f.grid, _integral_tree(f.grid, f.values))
+    return HaarSymbol(f.grid, _frozen(coeff), mean)
 
 
-def _downward_tree(grid: Grid, root, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """The tree over levels 0..m from its root, one downward sweep: plus and
-    minus hold a row per parent (levels 0..m-1), and parent p's left child
-    is tree[p] + plus[p], its right child tree[p] - minus[p]."""
-    tree = np.empty((2 * len(plus) + 1,) + plus.shape[1:])
-    tree[0] = root
-    parent, slices = tree[:1], grid.level_slices
+def _downward_tree(grid: Grid, root, plus: np.ndarray, minus: np.ndarray, levels=None):
+    """The tree over levels 0..m from its root, one downward sweep, into the
+    array of levels or a fresh one: parent p (levels 0..m-1) has the left
+    child tree[p] + plus[p] and the right child tree[p] - minus[p]."""
+    rows = 2 * len(plus) + 1
+    if levels is None:
+        levels = _Levels(grid, np.empty((rows,) + plus.shape[1:]))
+    levels.array[0] = root
+    slices = grid.level_slices
     for lev in range(len(plus).bit_length()):
-        level, child = slices[lev], tree[slices[lev + 1]]
-        np.add(parent, plus[level], out=child[0::2])
-        np.subtract(parent, minus[level], out=child[1::2])
-        parent = child
+        parent, step = levels.level[lev], plus[slices[lev]]
+        np.add(parent, step, out=levels.left[lev + 1])
+        step = step if minus is plus else minus[slices[lev]]
+        np.subtract(parent, step, out=levels.right[lev + 1])
     _tally(2 * plus.size)
-    return tree
+    return levels.array[:rows]
 
 
-def _synthesis_tree(symbol: HaarSymbol, last_level: int | None = None) -> np.ndarray:
+def _synthesis_tree(grid: Grid, coeff, mean, last_level=None, levels=None, steps=None):
     """Averages over every interval of levels 0..last_level (default depth)
-    from Haar data, one downward sweep:
+    from Haar data, one downward sweep into levels, its steps into steps:
     <f>_{I-} = <f>_I + coeff_I |I|^{-1/2}, <f>_{I+} = <f>_I - coeff_I |I|^{-1/2}."""
-    grid, coeff = symbol.grid, symbol.coeff
     parents = (1 << (grid.depth if last_level is None else last_level)) - 1
-    steps = coeff[:parents] * as_column(grid.haar_inv_sqrt_lengths[:parents], coeff)
+    scale = as_column(grid.haar_inv_sqrt_lengths[:parents], coeff)
+    out_steps = None if steps is None else steps[:parents]
+    steps = np.multiply(coeff[:parents], scale, out=out_steps)
     _tally(steps.size)
-    tree = _downward_tree(grid, symbol.mean, steps, steps)
-    tree.setflags(write=False)
-    return tree
+    return _downward_tree(grid, mean, steps, steps, levels)
 
 
 def synthesize(symbol: HaarSymbol) -> LeafFunction:
     """Rebuild the leaf function from Haar coefficients, one downward sweep."""
-    tree = _synthesis_tree(symbol)
+    tree = _synthesis_tree(symbol.grid, symbol.coeff, symbol.mean)
     return LeafFunction(symbol.grid, tree[symbol.grid.level_slices[-1]])
 
 
-def _subtree_sums_into(
-    grid: Grid, haar_values: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write the subtree sums of haar_values into out's Haar rows (levels
-    0..depth-1), one upward sweep; out's other rows are left as they are."""
+def _subtree_sums_into(grid: Grid, haar_values: np.ndarray, levels: _Levels):
+    """Write the subtree sums of haar_values into the Haar rows (levels
+    0..depth-1) of the array of levels, one upward sweep, and return it."""
     n = grid.depth
     slices = grid.level_slices
-    out[slices[n - 1]] = haar_values[slices[n - 1]]
+    levels.level[n - 1][...] = haar_values[slices[n - 1]]
     for lev in range(n - 2, -1, -1):
-        child = out[slices[lev + 1]]
-        total = out[slices[lev]]
-        np.add(haar_values[slices[lev]], child[0::2], out=total)
-        total += child[1::2]
+        total = levels.level[lev]
+        np.add(haar_values[slices[lev]], levels.left[lev + 1], out=total)
+        total += levels.right[lev + 1]
     _tally(2 * haar_values[: grid.haar_size // 2].size)
-    return out
+    return levels.array
 
 
 def subtree_sums(grid: Grid, haar_values: np.ndarray) -> np.ndarray:
-    """Sum of a Haar-indexed quantity over all Haar-bearing J inside each I.
-
-    Returns a level-contiguous array over ALL levels 0..depth; leaf entries
-    are 0 (a leaf contains no Haar-bearing interval).
-    """
-    _check_rows(
-        haar_values, grid.haar_size, "expected one value per Haar-bearing interval"
-    )
+    """Sum of a Haar-indexed quantity over all Haar-bearing J inside each I,
+    over all levels 0..depth (0 on the leaves, which contain no such J)."""
+    message = "expected one value per Haar-bearing interval"
+    _check_rows(haar_values, grid.haar_size, message)
     out = np.zeros((grid.tree_size,) + haar_values.shape[1:])
-    return _subtree_sums_into(grid, haar_values, out)
+    return _subtree_sums_into(grid, haar_values, _Levels(grid, out))
 
 
-def sum_interval_constants(grid: Grid, haar_constants: np.ndarray) -> np.ndarray:
-    """Leaf values of sum_I c_I 1_I over Haar-bearing I, one downward sweep:
-    each child's running sum is its parent's plus its own constant, written
-    straight into the even (left) and odd (right) rows of the child level."""
+def sum_interval_constants(grid: Grid, haar_constants, out=None, levels=None):
+    """Leaf values (into out) of sum_I c_I 1_I over Haar-bearing I, one
+    downward sweep of running sums, in a copy of haar_constants or, given
+    levels (its _Levels), over haar_constants itself."""
     rows = grid.haar_size
     _check_rows(haar_constants, rows, "expected one constant per Haar-bearing interval")
-    slices = grid.level_slices
-    acc = haar_constants[slices[0]]
+    if levels is None:
+        levels = _Levels(grid, np.array(haar_constants))
     for lev in range(1, grid.depth):
-        consts = haar_constants[slices[lev]]
-        child = np.empty(consts.shape)
-        np.add(acc, consts[0::2], out=child[0::2])
-        np.add(acc, consts[1::2], out=child[1::2])
-        acc = child
+        acc = levels.level[lev - 1]
+        np.add(acc, levels.left[lev], out=levels.left[lev])
+        np.add(acc, levels.right[lev], out=levels.right[lev])
     _tally(haar_constants[1:].size)
-    out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
+    acc = levels.level[grid.depth - 1]
+    if out is None:
+        out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
     out[0::2] = acc
     out[1::2] = acc
     return out

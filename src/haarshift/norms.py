@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import LeafFunction, analyze
+from .grid import LeafFunction, _read, analyze
 from .operators import (
     Composition,
     DyadicOperator,
@@ -18,6 +18,9 @@ from .operators import (
     Multiplier,
     OperatorSum,
     Paraproduct,
+    Workspace,
+    _run,
+    _steps,
 )
 from .weights import TINY
 
@@ -57,10 +60,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NormResult:
-    """value: the norm estimate.  iterations: Lanczos steps, one T*T
-    matvec each (0 for an exact norm).  residual: the relative Ritz
-    residual bound on the top eigenvalue of T*T.  converged: that bound
-    met the tolerance."""
+    """value: the estimate.  iterations: Lanczos steps, one T*T matvec each
+    (0 if exact).  residual: the relative Ritz residual bound on the top
+    eigenvalue of T*T.  converged: that bound met the tolerance."""
 
     value: float
     iterations: int
@@ -81,15 +83,11 @@ def _annihilates(outer: DyadicOperator, inner: DyadicOperator) -> bool:
 
 
 def exact_norm(op: DyadicOperator) -> float | None:
-    """The norm read from the operator's structure, or None.
-
-    A "00" paraproduct sends the orthonormal h_I to mutually orthogonal
-    images (and constants to zero), so its norm is the sup of the image
-    norms: |s_I t_I| (identity), |s_I t_{I-}| (half) or
-    |s_I| sqrt(t_{I-}^2 + t_{I+}^2) (full), with s the symbol and t the
-    outer symbol.  A sum of compositions that each annihilate by structure
-    is zero.  Anything else returns None.
-    """
+    """The norm read from the operator's structure, or None: a "00"
+    paraproduct sends the orthonormal h_I to orthogonal images, so its norm
+    is their sup, |s_I t_I|, |s_I t_{I-}| or |s_I| sqrt(t_{I-}^2 + t_{I+}^2)
+    by shift (s the symbol, t outer); a sum of compositions that each
+    annihilate by structure is zero."""
     if isinstance(op, Paraproduct) and op.kind == "00":
         n = op.grid.haar_size
         s = np.ones(n) if op.symbol is None else op.symbol
@@ -159,25 +157,21 @@ def _norm(u: np.ndarray, scratch: np.ndarray) -> float:
 
 
 def lanczos_top(
-    matvec: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray, np.ndarray], None],
     x0: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> tuple[float, int, float, bool]:
     """Top eigenvalue of a symmetric positive semidefinite map by plain
-    three-term Lanczos from x0, holding three vectors and the tridiagonal.
+    three-term Lanczos from x0, in the tridiagonal and three vectors that
+    take turns: matvec(x, out) writes the map of x into out.
 
-    Stops at step k when the Ritz residual bound beta_k |e_k^T s| of the
-    top Ritz pair (theta, s) of T_k is at most tol * theta (Paige 1980:
-    some eigenvalue of the map then lies within that bound of theta).  The
-    pair is solved at the steps _solves_at picks and wherever beta_k = 0.
-    A step whose residual has no entry of at least TINY (see _norm), such
-    as a zero map's first, stops with a zero residual on a Krylov space
-    invariant to working precision.  Returns (theta, steps, relative
-    residual bound, converged).  Ritz values of nested Krylov spaces
-    interlace, so theta is non-decreasing (to a few ulps) and approaches
-    the top eigenvalue from below.  No bound computed in double precision
-    can meet a tol below machine epsilon, so such a tol is an error.
+    Stops at step k when the Ritz residual bound beta_k |e_k^T s| of the top
+    Ritz pair (theta, s) of T_k, solved at the steps _solves_at picks and
+    where beta_k = 0, is at most tol * theta (Paige 1980).  A residual with
+    no entry of at least TINY (see _norm) is 0.  Returns (theta, steps,
+    relative residual bound, converged); theta approaches the top eigenvalue
+    from below.  A tol below machine epsilon, which no bound meets, is an error.
     """
     if not EPS <= tol < math.inf:
         raise ValueError(f"tol must be finite and positive, at least machine epsilon "
@@ -185,13 +179,15 @@ def lanczos_top(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     v = x0 / math.sqrt(_dot(x0, x0))
-    v_prev = np.zeros_like(v)
+    del x0  # a caller that hands over its only reference frees it here
+    v_prev, u = np.zeros_like(v), np.empty_like(v)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
     for step in range(1, max_iter + 1):
         v_prev *= beta
-        u = matvec(v) - v_prev
+        matvec(v, u)
+        u -= v_prev
         # v_prev is not read again: its storage holds this step's products
         alpha = _dot(v, u, v_prev)
         u -= np.multiply(v, alpha, out=v_prev)
@@ -208,7 +204,7 @@ def lanczos_top(
                 return theta, step, residual, True
         betas.append(beta)
         u /= beta
-        v_prev, v = v, u
+        v_prev, v, u = v, u, v_prev
     return theta, max_iter, residual, False
 
 
@@ -228,28 +224,20 @@ def operator_norm(
 ) -> NormResult:
     """L2 -> L2 operator norm via Lanczos on T*T (see lanczos_top).
 
-    Deterministic for fixed (op, tol, max_iter, seed); the value
-    approaches the true norm from below.  Non-convergence is reported
-    through the flag rather than raised: callers decide whether to fail.
-    Reads nothing from the operator's structure but annihilates_constants:
-    callers that want the exact path ask exact_norm first.
+    Deterministic for fixed (op, tol, max_iter, seed); the value approaches
+    the norm from below; non-convergence is a flag, not an error.  Lanczos
+    runs on Haar coefficients for an operator that annihilates constants
+    (T*T lives on span{h_I}), else on leaf values, from one start function.
 
-    Lanczos runs in the coordinates the first factor reads: T*T of an
-    operator that annihilates constants lives on span{h_I}, so its vectors
-    are Haar coefficients and no step sweeps to leaf values and back; the
-    rest run on leaf values.  Both start from the same function, in
-    coordinates orthonormal up to one scale, so in exact arithmetic the
-    Krylov space and the Ritz values are the same.  Each matvec adopts a
-    read-only view of the Lanczos vector (no copy): lanczos_top writes the
-    vector again only after the matvec returns.
+    A run lends its operator's kernels one Workspace (see operators): a step
+    reads a read-only view of the Lanczos vector, writes T*T of it into the
+    next, and after the first step allocates no array.  No engine storage
+    escapes into a LeafFunction, save the view that an operator without
+    kernels is handed for the length of its apply.
 
-    T*T squares the scale of T.  A run whose theta falls below
-    SQUARES_EXACT lost precision to underflow, and the norm is measured
-    again on 2**h T 2**h, with 2**(2h) about the inverse of the largest
-    entry of T applied to the start vector: every vector of its steps then
-    lies near the square root of T's scale or of its inverse.  The steps of
-    both runs are counted; where T*T's first residual lies below TINY the
-    first run stops at step 1 (lanczos_top), and the rerun does the work.
+    T*T squares the scale of T: a run whose theta falls below SQUARES_EXACT
+    is measured again on 2**h T 2**h, 2**(2h) about the inverse of the
+    largest entry of T applied to the start vector.  Both runs' steps count.
     """
     grid = op.grid
     theta, steps, residual, converged = _normal_top(op, tol, max_iter, seed)
@@ -270,36 +258,37 @@ def operator_norm(
 
 def _normal_top(op: DyadicOperator, tol: float, max_iter: int, seed: int) -> tuple:
     """lanczos_top on T*T, in the coordinates operator_norm describes."""
-    grid = op.grid
+    grid, haar = op.grid, op.annihilates_constants
+    steps = _steps(op, False) + _steps(op, True)
+    born, mean, want = ("symbol", 0.0, "0") if haar else ("values", None, "values")
+    # a Haar-coordinate vector has no room for leaf values, which a kernel
+    # other than a paraproduct's may write: those go to the workspace's out
+    direct = not haar or all(
+        getattr(kernel, "__func__", None) is Paraproduct._kernel for kernel, _ in steps
+    )
+    ws = Workspace(grid)
+
+    def normal_matvec(x: np.ndarray, out: np.ndarray) -> None:
+        view = x.view()
+        view.flags.writeable = False
+        form = _run(steps, (born, view, mean), ws, out if direct else ws.out)
+        result = _read(grid, form, want, ws, out)
+        if not np.may_share_memory(result, out):
+            out[...] = result
+
+    # the start vector's only reference, which lanczos_top frees
+    return lanczos_top(normal_matvec, _start_coordinates(op, seed), tol, max_iter)
+
+
+def _start_coordinates(op: DyadicOperator, seed: int) -> np.ndarray:
     x0 = _start_vector(op, seed)
-
-    if op.annihilates_constants:
-        x0 = analyze(LeafFunction(grid, x0)).coeff
-
-        def normal_matvec(c: np.ndarray) -> np.ndarray:
-            f = LeafFunction._adopt(grid, c.view(), 0.0)
-            return op.adjoint_apply(op.apply(f)).symbol.coeff
-
-    else:
-
-        def normal_matvec(x: np.ndarray) -> np.ndarray:
-            f = LeafFunction._adopt(grid, x.view())
-            return op.adjoint_apply(op.apply(f)).values
-
-    return lanczos_top(normal_matvec, x0, tol, max_iter)
+    return analyze(LeafFunction(op.grid, x0)).coeff if op.annihilates_constants else x0
 
 
 def materialize(op: DyadicOperator) -> np.ndarray:
-    """Dense matrix of an operator in the leaf-indicator basis: one apply to
-    the grid's leaf_basis, the identity block.  The basis is read-only, is
-    built once per grid and lives as long as the grid, so what applies read
-    of it (its Haar symbol, its Haar-level averages) is measured once and
-    reused by every later call on that grid.  It sits on a private grid and
-    forms no reference cycle.
-
-    The leaf basis is orthogonal with equal norms, so the L2 operator norm
-    equals the spectral norm of this matrix.
-    """
+    """Dense matrix of an operator in the leaf-indicator basis, whose
+    spectral norm is the L2 norm: one apply to the grid's leaf_basis, so
+    what applies read of the basis is measured once per grid."""
     return op.apply(op.grid.leaf_basis).values
 
 

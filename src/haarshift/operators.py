@@ -3,30 +3,28 @@ Haar shifts, and the composition operators of the weighted resolution.
 Every Haar-coefficient map (paraproducts, shifts, and the four resolution
 terms that close into one) is a Paraproduct with an atom placement.
 
-Every operator applies matrix-free in O(2**depth) via tree sweeps; a dense
-materialization exists only as an oracle for small depths (see norms).
-A paraproduct returns its result in the Haar form it computed (a
-LeafFunction born from a symbol or from averaging-atom weights), so a
-composition passes Haar data from factor to factor and sweeps to leaf
-values only where something reads them.
-Operators apply to a block of functions (a LeafFunction with a trailing
-batch axis) in the same sweeps as to one, column by column bit-identical
-to single-column calls.
-Operators are immutable and stateless after construction: apply and
-adjoint_apply are pure and safe to call concurrently.
+Every operator applies matrix-free in O(2**depth) via tree sweeps, to one
+function or, column by column bit-identical, to a block (a dense matrix is
+only an oracle, see norms).  Each runs one private kernel per direction,
+_kernel(src, adjoint, ws, out): it reads a LeafFunction or a bare form (see
+grid), a factor's output in the form it computed, and returns its own
+form, written into out when given.  A composition hands each factor what
+the one before wrote, births no LeafFunction between factors, and sweeps
+to leaf values only where a factor reads them.  apply and adjoint_apply
+run the kernels into fresh arrays and birth one LeafFunction at the
+output; the norm engine runs them into a Workspace.  An operator without
+a kernel overrides apply and adjoint_apply instead.  Operators are
+immutable and stateless after construction, safe to apply concurrently.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    LeafFunction,
-    as_column,
-)
+from .grid import Grid, LeafFunction, _Levels, _read, as_column
 from .weights import Weight
 
 __all__ = [
@@ -54,8 +52,53 @@ Q_LABELS = tuple(
 )
 
 
+class Workspace:
+    """One norm-engine run's storage, each part made on first use: levels,
+    the tree buffer every sweep shares; spare, written by turns with the
+    run's output; out and nested, for the terms of a sum."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+
+    def __getattr__(self, name: str):
+        grid = self.grid
+        if name == "levels":
+            value = _Levels(grid, np.empty(grid.tree_size))
+        elif name in ("spare", "out", "nested"):
+            value = Workspace(grid) if name == "nested" else np.empty(grid.leaf_count)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+
+def _run(steps, src, ws: Workspace | None = None, out: np.ndarray | None = None):
+    """src through the (kernel, adjoint) steps in order: into fresh arrays,
+    or into out and ws.spare by turns, the last kernel into out."""
+    for i, (kernel, adjoint) in enumerate(steps):
+        dest = None if ws is None else out if (len(steps) - i) % 2 else ws.spare
+        src = kernel(src, adjoint, ws, dest)
+    return src
+
+
+def _steps(op, adjoint: bool) -> tuple:
+    """op's (kernel, adjoint) steps; an object with only apply runs through it."""
+    if isinstance(op, DyadicOperator):
+        return op._steps(adjoint)
+    return ((partial(DyadicOperator._kernel, op), adjoint),)
+
+
+def _birth(grid: Grid, form) -> LeafFunction:
+    """form's function, adopting a view, so a workspace stays writeable."""
+    if isinstance(form, LeafFunction):
+        return form
+    born, data, mean = form
+    return LeafFunction._adopt(grid, data.view(), mean, atoms=born == "atoms")
+
+
 class DyadicOperator:
-    """A linear map on leaf functions with forward and adjoint application."""
+    """A linear map on leaf functions with forward and adjoint application,
+    through its kernels (see the module docstring)."""
 
     label: str = "operator"
     annihilates_constants: bool = False
@@ -64,10 +107,17 @@ class DyadicOperator:
         self.grid = grid
 
     def apply(self, f: LeafFunction) -> LeafFunction:
-        raise NotImplementedError
+        return _birth(self.grid, _run(self._steps(False), f))
 
     def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        raise NotImplementedError
+        return _birth(self.grid, _run(self._steps(True), f))
+
+    def _steps(self, adjoint: bool) -> tuple:
+        return ((self._kernel, adjoint),)
+
+    def _kernel(self, src, adjoint: bool, ws, out):
+        f = _birth(self.grid, src)
+        return self.adjoint_apply(f) if adjoint else self.apply(f)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label} depth={self.grid.depth}>"
@@ -76,29 +126,16 @@ class DyadicOperator:
 class Paraproduct(DyadicOperator):
     """P^{(a,b)}_s : f -> sum_I s_I <f, h_I^b> atom_a(I') over Haar-bearing I.
 
-    kind[1] = b says what apply reads: "0" Haar coefficients, "1" averages;
-    kind[0] = a says what it emits in the same code.  shift places the
-    scaled weights: at I (identity), at I- (half), or as I- minus I+ (full);
-    the last two drop the finest Haar level, whose children are leaves.
-    With shift "half" this is the paraproduct composed with h_I -> h_{I-}.
-    outer scales each placed weight by its value at the output interval
-    (I-, and I+ for "full"), so P^{(a,b)}_s placed and scaled by t equals
-    P^{(a,0)}_t o shift o P^{(0,b)}_s.  A symbol or outer of None is the
-    unit symbol, whose multiply is skipped (HaarShift).  A shifted apply or
-    adjoint writes each entry of its fresh array once, zeroing only what
-    the shift leaves unwritten: the root (and I+ for "half") on apply, the
-    finest Haar level on the adjoint's gather.
-    """
+    kind[1] = b is what apply reads ("0" Haar coefficients, "1" averages),
+    kind[0] = a what it emits.  shift places the scaled weights at I
+    (identity), I- (half) or I- minus I+ (full), dropping the finest Haar
+    level; outer scales each placed weight at its output interval, so this
+    is P^{(a,0)}_outer o shift o P^{(0,b)}_s.  None is the unit symbol, its
+    multiply skipped.  A shifted kernel scales only what it places or
+    gathers and writes each output entry once, zeroing what it leaves."""
 
-    def __init__(
-        self,
-        grid: Grid,
-        symbol: np.ndarray | None,
-        kind: str,
-        label: str = "",
-        shift: str = "identity",
-        outer: np.ndarray | None = None,
-    ):
+    def __init__(self, grid: Grid, symbol: np.ndarray | None, kind: str, label: str = "",
+                 shift: str = "identity", outer: np.ndarray | None = None):
         super().__init__(grid)
         if kind not in PARAPRODUCT_KINDS:
             raise ValueError(f"unknown paraproduct kind {kind!r}")
@@ -122,78 +159,77 @@ class Paraproduct(DyadicOperator):
         return symbol
 
     @staticmethod
-    def _measure(f: LeafFunction, atom: str) -> np.ndarray:
-        return f.symbol.coeff if atom == "0" else f.haar_averages
-
-    def _emit(self, weights: np.ndarray, atom: str) -> LeafFunction:
-        # the output keeps its Haar data: the next factor reads .symbol or
-        # .haar_averages without a sweep to leaf values and back
-        if atom == "0":
-            mean = 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
-            return LeafFunction._adopt(self.grid, weights, mean)
-        return LeafFunction._adopt(self.grid, weights, atoms=True)
-
-    @staticmethod
-    def _scaled(symbol: np.ndarray | None, weights: np.ndarray) -> np.ndarray:
-        """symbol * weights on weights' rows (None: the unit symbol), written
-        into weights when this apply made it (a LeafFunction's are read-only)."""
+    def _scaled(symbol, weights: np.ndarray, out=None) -> np.ndarray:
+        """symbol * weights on weights' rows into out, else into weights when
+        writeable (see grid), else fresh; None copies only into another out."""
+        if out is None and weights.flags.writeable:
+            out = weights
         if symbol is None:
+            if out is not None and out is not weights:
+                out[...] = weights
+                return out
             return weights
-        out = weights if weights.flags.writeable else None
         return np.multiply(as_column(symbol[: len(weights)], weights), weights, out=out)
 
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        weights = self._measure(f, self.kind[1])
+    def _kernel(self, src, adjoint: bool, ws, out):
+        # apply: measure, symbol *, place, outer *; the adjoint measures what
+        # apply emits, gathers with outer, then symbol *
+        grid, n, half = self.grid, self.grid.haar_size, self.grid.haar_size // 2
+        rows = None if out is None else out[:n]
+        first, last = (self.outer, self.symbol) if adjoint else (self.symbol, self.outer)
+        reads, emits = self.kind if adjoint else self.kind[::-1]
         if self.shift == "identity":
-            weights = self._scaled(self.symbol, weights)
+            weights = _read(grid, src, reads, ws, rows)
+            if first is not None:
+                weights = self._scaled(first, weights, rows)
         else:
-            # the shift places levels 0..depth-2 only: scale just those
-            src = self._scaled(self.symbol, weights[: self.grid.haar_size // 2])
-            weights = np.empty((self.grid.haar_size,) + src.shape[1:])
-            weights[0] = 0.0
-            weights[1::2] = src
-            if self.shift == "full":
-                np.negative(src, out=weights[2::2])
+            measure = _read(grid, src, reads, ws)
+            weights = np.empty((n,) + measure.shape[1:]) if rows is None else rows
+            if adjoint:
+                head = weights[:half]
+                if first is None:
+                    head[...] = measure[1::2]
+                else:
+                    np.multiply(as_column(first[1::2], head), measure[1::2], out=head)
+                if self.shift == "full":
+                    right = measure[2::2]
+                    if first is not None:
+                        scale = as_column(first[2::2], head)
+                        right = np.multiply(scale, right, out=weights[half:-1])
+                    head -= right
+                weights[half:] = 0.0
             else:
-                weights[2::2] = 0.0
-        return self._emit(self._scaled(self.outer, weights), self.kind[0])
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        weights = self._measure(f, self.kind[0])
-        outer = self.outer
-        if self.shift == "identity":
-            weights = self._scaled(outer, weights)
-        else:
-            # gather I- (minus I+ for full) into I, scaled by outer only there
-            half = self.grid.haar_size // 2
-            gathered = np.empty(weights.shape)
-            gathered[half:] = 0.0
-            head = gathered[:half]
-            if outer is None:
-                head[...] = weights[1::2]
-            else:
-                np.multiply(as_column(outer[1::2], head), weights[1::2], out=head)
-            if self.shift == "full":
-                right = weights[2::2]
-                head -= right if outer is None else as_column(outer[2::2], head) * right
-            weights = gathered
+                own = ws is None or measure.flags.writeable
+                scratch = None if own else ws.levels.array[:half]
+                placed = self._scaled(first, measure[:half], scratch)
+                weights[0] = 0.0
+                weights[1::2] = placed
+                if self.shift == "full":
+                    np.negative(placed, out=weights[2::2])
+                else:
+                    weights[2::2] = 0.0
         # every entry, zeros too, so each keeps the sign of zero the product gives
-        return self._emit(self._scaled(self.symbol, weights), self.kind[1])
+        weights = self._scaled(last, weights, rows)
+        if emits == "1":
+            return "atoms", weights, None
+        return "symbol", weights, 0.0 if weights.ndim == 1 else np.zeros(weights.shape[1])
 
 
 class MeanCorrection(DyadicOperator):
     """Rank-one piece f -> c * <f>_{[0,1)} * 1; closes the finite-model
-    multiplier decomposition on constants."""
+    multiplier decomposition on constants.  Self-adjoint."""
 
     def __init__(self, grid: Grid, scalar: float, label: str = "mean"):
         super().__init__(grid)
         self.scalar = float(scalar)
         self.label = label
 
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        return LeafFunction(self.grid, np.broadcast_to(self.scalar * f.mean(), f.shape))
-
-    adjoint_apply = apply
+    def _kernel(self, src, adjoint: bool, ws, out):
+        value = self.scalar * _read(self.grid, src, "mean", ws)
+        if out is None:
+            out = np.empty((self.grid.leaf_count,) + np.shape(value))
+        out[...] = value
+        return "values", out, None
 
 
 class Multiplier(DyadicOperator):
@@ -204,28 +240,22 @@ class Multiplier(DyadicOperator):
         self.b = b
         self.label = label
 
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        b = self.b.values
-        return LeafFunction._adopt(self.grid, as_column(b, f.values) * f.values)
-
-    adjoint_apply = apply
+    def _kernel(self, src, adjoint: bool, ws, out):
+        vals = _read(self.grid, src, "values", ws, out)
+        return "values", np.multiply(as_column(self.b.values, vals), vals, out=out), None
 
 
 class HaarShift(Paraproduct):
-    """Dyadic shift acting on Haar coefficients: the unit-symbol "00"
-    paraproduct with the output atom placed by kind.
-
-    half: h_I -> h_{I-};  full: h_I -> h_{I-} - h_{I+};  identity: h_I -> h_I.
-    All kinds annihilate the mean coefficient, and (half/full) drop the
-    finest Haar level, whose image would need resolution beyond the grid.
-    """
+    """Dyadic shift on Haar coefficients, the unit-symbol "00" paraproduct:
+    half h_I -> h_{I-}, full h_I -> h_{I-} - h_{I+}, identity h_I -> h_I."""
 
     def __init__(self, grid: Grid, kind: str):
         super().__init__(grid, None, "00", f"shift_{kind}", kind)
 
 
 class Composition(DyadicOperator):
-    """Composition in mathematical order: factors[0] is applied last."""
+    """Composition in mathematical order: factors[0] is applied last.  Its
+    steps are its factors' kernels in turn."""
 
     def __init__(self, factors: Sequence[DyadicOperator], label: str = ""):
         super().__init__(factors[0].grid)
@@ -233,15 +263,9 @@ class Composition(DyadicOperator):
         self.label = label or "*".join(op.label for op in self.factors)
         self.annihilates_constants = self.factors[-1].annihilates_constants
 
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        for op in reversed(self.factors):
-            f = op.apply(f)
-        return f
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        for op in self.factors:
-            f = op.adjoint_apply(f)
-        return f
+    def _steps(self, adjoint: bool) -> tuple:
+        factors = self.factors if adjoint else self.factors[::-1]
+        return tuple(step for op in factors for step in _steps(op, adjoint))
 
 
 class OperatorSum(DyadicOperator):
@@ -251,17 +275,23 @@ class OperatorSum(DyadicOperator):
         self.label = label or "+".join(op.label for op in self.terms)
         self.annihilates_constants = all(op.annihilates_constants for op in self.terms)
 
-    def apply(self, f: LeafFunction) -> LeafFunction:
-        out = np.zeros(f.shape)
+    def _kernel(self, src, adjoint: bool, ws, out):
+        # every term reads src, so none may write it; the terms run in a
+        # nested workspace and add their leaf values to zeros, in order
+        if not isinstance(src, LeafFunction):
+            src = src[0], src[1].view(), src[2]
+            src[1].flags.writeable = False
+        sub = None if ws is None else ws.nested
+        if out is not None:
+            out.fill(0.0)
         for op in self.terms:
-            out += op.apply(f).values
-        return LeafFunction._adopt(self.grid, out)
-
-    def adjoint_apply(self, f: LeafFunction) -> LeafFunction:
-        out = np.zeros(f.shape)
-        for op in self.terms:
-            out += op.adjoint_apply(f).values
-        return LeafFunction._adopt(self.grid, out)
+            dest = None if sub is None else sub.out
+            term = _run(_steps(op, adjoint), src, sub, dest)
+            vals = _read(self.grid, term, "values", sub, dest)
+            if out is None:
+                out = np.zeros(vals.shape)
+            out += vals
+        return "values", out, None
 
 
 # --------------------------------------------------------------------------
@@ -269,13 +299,9 @@ class OperatorSum(DyadicOperator):
 
 
 def multiplier_pieces(b: LeafFunction) -> dict[str, DyadicOperator]:
-    """The exact finite-model decomposition of M_b into four pieces:
-
-        M_b = P^{(0,1)}_{bhat} + P^{(1,0)}_{bhat} + P^{(0,0)}_{<b>} + mean term.
-
-    The rank-one mean term is absent in the three-term decomposition on the
-    line; here it restores exactness on constants.
-    """
+    """The exact finite-model decomposition M_b = P^{(0,1)}_{bhat} +
+    P^{(1,0)}_{bhat} + P^{(0,0)}_{<b>} + a rank-one mean term, which the
+    decomposition on the line lacks; here it restores exactness on constants."""
     grid = b.grid
     hat = b.symbol.coeff
     avg = b.haar_averages

@@ -15,10 +15,11 @@ from haarshift import (
     nested_kernel_pairs,
     shift_kernel_table,
     subtree_sums,
+    sum_interval_constants,
 )
 from haarshift.grid import as_column
 from haarshift.norms import NormResult, _start_vector, lanczos_top
-from haarshift.operators import DyadicOperator
+from haarshift.operators import Composition, DyadicOperator, OperatorSum
 
 
 def strictly_contains(I: DyadicIndex, J: DyadicIndex) -> bool:
@@ -127,6 +128,22 @@ class RecordingOperator(OpaqueOperator):
         return self.seen[-1][1]
 
 
+def apply_by_factors(op: DyadicOperator, f: LeafFunction, adjoint: bool = False):
+    """op, or its adjoint, applied factor by factor: each factor's public
+    apply or adjoint_apply births the LeafFunction the next factor reads,
+    and a sum adds its terms' leaf values to zeros, one term at a time."""
+    if isinstance(op, Composition):
+        for factor in op.factors if adjoint else op.factors[::-1]:
+            f = apply_by_factors(factor, f, adjoint)
+        return f
+    if isinstance(op, OperatorSum):
+        total = np.zeros(f.shape)
+        for term in op.terms:
+            total += apply_by_factors(term, f, adjoint).values
+        return LeafFunction(op.grid, total)
+    return op.adjoint_apply(f) if adjoint else op.apply(f)
+
+
 def leaf_coordinate_norm(
     op: DyadicOperator, tol: float = 1e-9, max_iter: int = 1024, seed: int = 1
 ) -> NormResult:
@@ -135,8 +152,8 @@ def leaf_coordinate_norm(
     Same start vector as the engine, so the same Krylov space."""
     grid = op.grid
 
-    def normal_matvec(x):
-        return op.adjoint_apply(op.apply(LeafFunction(grid, x))).values
+    def normal_matvec(x, out):
+        out[...] = op.adjoint_apply(op.apply(LeafFunction(grid, x))).values
 
     theta, steps, residual, converged = lanczos_top(
         normal_matvec, _start_vector(op, seed), tol, max_iter
@@ -416,3 +433,46 @@ def parseval_sides_by_draw(grid, rng) -> tuple[np.ndarray, np.ndarray]:
         s = f.symbol
         out.append((s.mean**2 + float(s.coeff @ s.coeff), inner(f, f)))
     return tuple(np.array(side) for side in zip(*out))
+
+
+def square_function(f: LeafFunction) -> LeafFunction:
+    """Sf(x) = sqrt( sum_I fhat(I)^2 h_I^1(x) ) over Haar-bearing I."""
+    grid = f.grid
+    consts = f.symbol.coeff**2 * grid.haar_inv_lengths
+    return LeafFunction(grid, np.sqrt(sum_interval_constants(grid, consts)))
+
+
+def s_pi(f: LeafFunction) -> LeafFunction:
+    """Modified square function: each I spreads fhat(I)^2 / |I| over the
+    parent of I, with the root acting as its own parent."""
+    grid = f.grid
+    sq = f.symbol.coeff**2 * grid.haar_inv_lengths
+    consts = np.zeros(grid.haar_size)
+    consts[0] = sq[0]  # root term, pi(root) = root
+    consts[: grid.haar_size // 2] += sq[1::2] + sq[2::2]
+    return LeafFunction(grid, np.sqrt(sum_interval_constants(grid, consts)))
+
+
+def weighted_square_norm_sq(f: LeafFunction, v: LeafFunction) -> float:
+    """|Sf|^2 in L2(v), which collapses to sum_I fhat(I)^2 <v>_I."""
+    return float(np.sum(f.symbol.coeff**2 * v.averages[: v.grid.haar_size]))
+
+
+def corona_members(decomp, G: DyadicIndex) -> np.ndarray:
+    """Flat offsets, in flat order, of the corona of the stopping interval
+    G: inside G but in no stopping child of G."""
+    g = G.flat_offset
+    if not (g < decomp.top.size and decomp.top[g] == g):
+        raise ValueError(f"{G} is not a stopping interval of this decomposition")
+    return np.flatnonzero(decomp.top == g)
+
+
+def corona_sum(decomp, w: Weight) -> float:
+    """sum over stopping intervals G of <w>_G^2 * (1/w)(G), the quantity
+    dominating the nested Carleson sum in the stopping-time argument."""
+    avg_w, avg_inv = w.w.averages, w.w_inv.averages
+    total = 0.0
+    for g in decomp.stopping_intervals():
+        i = g.flat_offset
+        total += float(avg_w[i]) ** 2 * float(avg_inv[i]) * g.length
+    return total

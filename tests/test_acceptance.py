@@ -60,12 +60,12 @@ from haarshift import (
     synthesize,
 )
 from haarshift.cli import fit_slopes, main, sweep_rows
-from haarshift.estimates import corona_sum
 from haarshift.verify import run_verification
 from oracles import (
     ancestors,
     averaging_function,
     corona_chains,
+    corona_sum,
     dense_sharp_ratio,
     is_left_child,
     l2_norm,

@@ -554,6 +554,24 @@ def test_sweep_negative_workers_usage_error(monkeypatch):
     assert _SerialPool.sizes == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--weight", "power:alpha=0.5", "--depth", "4"],
+        ["sweep", "--family", "power", "--params", "0.3,0.5,0.7", "--depth", "4"],
+        ["verify", "--depth", "2"],
+    ],
+    ids=["norms", "sweep", "verify"],
+)
+def test_negative_seed_is_a_usage_error_at_parse_time(argv):
+    # argparse names the flag and prints the usage line; before, numpy
+    # refused the seed after the weight was built, naming neither
+    code, out, err = _run(argv + ["--seed", "-1"])
+    assert code == 2 and out == ""
+    assert f"usage: haarshift {argv[0]}" in err
+    assert "argument --seed: seed must be nonnegative, got -1" in err
+
+
 def test_sweep_depth_stability_flag_is_a_usage_error():
     code, out, err = _run(
         ["sweep", "--family", "power", "--params", "0.3,0.5,0.7", "--depth", "4",

@@ -21,8 +21,6 @@ from haarshift import (
     carleson_embedding_constant,
     cm_norm,
     corona,
-    corona_members,
-    corona_sum,
     count_operations,
     disjoint_block_norm,
     ell_inf_norm,
@@ -30,11 +28,8 @@ from haarshift import (
     inequality_battery,
     make_weight,
     materialize,
-    s_pi,
     s_pi_sharp_ratio,
-    square_function,
     subtree_sums,
-    weighted_square_norm_sq,
 )
 from haarshift import estimates
 from haarshift.grid import _downward_tree
@@ -44,10 +39,15 @@ from oracles import (
     averaging_function,
     corona_by_scan,
     corona_chains,
+    corona_members,
     corona_members_by_walk,
+    corona_sum,
     disjoint_block_matrix,
     l2_norm,
+    s_pi,
+    square_function,
     strictly_contains,
+    weighted_square_norm_sq,
 )
 
 

@@ -159,7 +159,7 @@ def test_top_ritz_values_monotone(monkeypatch):
     mat = materialize(op)
     history = _record_ritz_values(monkeypatch)
     x0 = rng.uniform(-1, 1, grid.leaf_count)
-    lanczos_top(lambda x: mat.T @ (mat @ x), x0, 1e-12, 2000)
+    lanczos_top(lambda x, out: np.copyto(out, mat.T @ (mat @ x)), x0, 1e-12, 2000)
     assert len(history) > 5
     diffs = np.diff(np.array(history))
     assert diffs.min() >= -1e-14 * max(history)
@@ -192,7 +192,9 @@ def test_top_ritz_values_within_ulps_of_lapack_on_hard_tridiagonals(monkeypatch)
         top = float(eigs[-1])
         history.clear()
         x0 = rng.uniform(-1, 1, k)
-        theta, _, residual, converged = lanczos_top(lambda x: mat @ x, x0, 1e-12, 4 * k)
+        theta, _, residual, converged = lanczos_top(
+            lambda x, out: np.copyto(out, mat @ x), x0, 1e-12, 4 * k
+        )
         slack = 64 * math.ulp(top)
         assert max(history) <= top + slack, trial
         assert converged, trial
@@ -217,7 +219,7 @@ def test_ritz_solves_are_bounded_on_a_run_that_cannot_converge(monkeypatch):
     spectrum = np.linspace(0.0, 1.0, 100_000)
     x0 = np.random.default_rng(3).uniform(-1, 1, len(spectrum))
     theta, steps, residual, converged = lanczos_top(
-        lambda x: spectrum * x, x0, 1e-9, norms.DEFAULT_MAX_ITER
+        lambda x, out: np.multiply(spectrum, x, out=out), x0, 1e-9, norms.DEFAULT_MAX_ITER
     )
     assert not converged and residual > 1e-9
     assert steps == norms.DEFAULT_MAX_ITER == 1024
@@ -289,9 +291,9 @@ def test_lanczos_rejects_non_finite_coefficients():
     # than hand the tridiagonal solver a NaN
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError):
-            lanczos_top(lambda x: x * np.inf, np.ones(4), 1e-9, 10)
+            lanczos_top(lambda x, out: np.multiply(x, np.inf, out=out), np.ones(4), 1e-9, 10)
         with pytest.raises(ValueError):
-            lanczos_top(lambda x: x, np.zeros(4), 1e-9, 10)
+            lanczos_top(lambda x, out: np.copyto(out, x), np.zeros(4), 1e-9, 10)
 
 
 def test_engine_norm_scales_with_a_tiny_operator():
@@ -452,6 +454,52 @@ def test_conjugation_steps_allocate_only_what_they_return():
     assert peak <= 7.5 * grid.leaf_count * 8
 
 
+# the tracemalloc peaks of these runs when every step allocated its arrays
+# (the parent commit), in leaf vectors, rounded up
+_PARENT_PEAK_LEAF_VECTORS = {"Q_01_01": 7.58, "Q_10_10": 7.09, "M_conj": 7.31}
+
+
+def _traced_peak_run(op):
+    tracemalloc.start()
+    try:
+        return operator_norm(op), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("label", sorted(_PARENT_PEAK_LEAF_VECTORS))
+def test_lanczos_steps_after_the_first_allocate_no_leaf_array(monkeypatch, label):
+    # the workspace and the three Lanczos vectors are made once per run:
+    # between two Ritz solves (one step) the traced memory never rises by a
+    # leaf array, and the run peaks no higher than when each step allocated
+    grid = Grid(12)
+    w = make_weight(WeightSpec("cascade", eps=0.45, seed=5), grid)
+    ops = resolution_pieces(w, "half")
+    ops["M_conj"] = conjugated_shift(w, "half")
+    op = ops[label]
+    operator_norm(op, max_iter=2)  # warm the grid's lazy caches
+    leaf_bytes = grid.leaf_count * 8
+    rises, after_solve = [], []
+    solve = norms._top_ritz_pair
+
+    def traced_solve(alphas, betas):
+        current, peak = tracemalloc.get_traced_memory()
+        if after_solve:
+            rises.append(peak - after_solve[-1])
+        result = solve(alphas, betas)
+        tracemalloc.reset_peak()
+        after_solve.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_top_ritz_pair", traced_solve)
+        result, _ = _traced_peak_run(op)
+    assert result.converged and len(rises) == result.iterations - 1 > 8
+    assert max(rises) < leaf_bytes, rises
+    _, run_peak = _traced_peak_run(op)
+    assert run_peak <= _PARENT_PEAK_LEAF_VECTORS[label] * leaf_bytes
+
+
 def test_public_birth_copies_its_values():
     grid = Grid(4)
     x = np.arange(grid.leaf_count, dtype=float)
@@ -480,7 +528,7 @@ def test_engine_matvec_adopts_its_lanczos_vector(monkeypatch, label):
     operator_norm(op)
     size = grid.haar_size if op.annihilates_constants else grid.leaf_count
     x = np.random.default_rng(6).uniform(-1.0, 1.0, size)
-    matvecs[0](x)
+    matvecs[0](x, np.empty_like(x))
     f = op.seen[0][0]
     data = f.symbol.coeff if op.annihilates_constants else f.values
     assert np.shares_memory(data, x) and np.array_equal(data, x)

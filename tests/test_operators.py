@@ -19,6 +19,7 @@ from haarshift import (
     HaarSymbol,
     LeafFunction,
     Multiplier,
+    OperatorSum,
     Paraproduct,
     Q_LABELS,
     SHIFT_KINDS,
@@ -32,6 +33,7 @@ from haarshift import (
     materialize,
     multiplier_pieces,
     nested_kernel_pairs,
+    operator_norm,
     resolution_pieces,
     s_coefficients,
     shift_kernel_table,
@@ -39,6 +41,8 @@ from haarshift import (
 )
 from haarshift import estimates
 from oracles import (
+    OpaqueOperator,
+    apply_by_factors,
     averaging_function,
     explicit_paraproduct_matrix,
     inner,
@@ -670,3 +674,52 @@ def test_nested_kernel_pairs_equal_ancestor_walk_bit_for_bit():
             if strictly_contains(jj, ll)
         }
         assert got == expected
+
+
+# --------------------------------------------------------------------------
+# kernels against births between factors
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("depth", [2, 5, 8])
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_kernels_match_births_between_factors_bit_for_bit(depth, shift):
+    # each factor reads, as a bare form, what the one before wrote into
+    # storage it may then write over; the oracle births a LeafFunction
+    # between factors, read-only with its derivations cached
+    grid = Grid(depth)
+    ops = resolution_pieces(_cascade(grid), shift)
+    ops["M_conj"] = conjugated_shift(_cascade(grid), shift)
+    rng = np.random.default_rng(40 + depth)
+    inputs = (rng.uniform(-1.0, 1.0, grid.leaf_count),
+              rng.uniform(-1.0, 1.0, (grid.leaf_count, 5)))
+    for label, op in ops.items():
+        for data in inputs:
+            for adjoint in (False, True):
+                apply = op.adjoint_apply if adjoint else op.apply
+                got = apply(LeafFunction(grid, data))
+                want = apply_by_factors(op, LeafFunction(grid, data), adjoint)
+                case = (label, data.shape, adjoint)
+                assert _same_bits(got.values, want.values), case
+                assert _same_bits(got.symbol.coeff, want.symbol.coeff), case
+
+
+@pytest.mark.parametrize("depth", [2, 5, 8])
+@pytest.mark.parametrize("shift", SHIFT_KINDS)
+def test_engine_kernels_match_the_apply_path(depth, shift):
+    # an OpaqueOperator has no kernel, so the engine runs it through apply
+    # and adjoint_apply; the kernels in a workspace give the same run.  The
+    # last two iterate on Haar coefficients with leaf values between factors
+    grid = Grid(depth)
+    w = _cascade(grid)
+    ops = resolution_pieces(w, shift)
+    ops["M_conj"] = conjugated_shift(w, shift)
+    left = multiplier_pieces(w.w_half)
+    ops["M_shift"] = Composition([Multiplier(grid, w.w_half), HaarShift(grid, shift)])
+    ops["sum_shift"] = Composition([OperatorSum([left["10"], left["00"]]), HaarShift(grid, shift)])
+    for label, op in ops.items():
+        assert operator_norm(op) == operator_norm(OpaqueOperator(op)), label
+
